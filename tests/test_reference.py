@@ -1,0 +1,105 @@
+"""Regression oracle: the shipped configs against a committed reference.
+
+`reference_trials.json` holds, for the first 20 trials of three cases
+(threshold_4x2 with CoSaMP, model_4x2 with CoSaMP, model_4x2 with OMP),
+the exact solver outcome and the error figures. Numerical refactors must
+reproduce it:
+
+- exactly: iterations, MAC count, converged flag, support size, kappa_used,
+  kappa_realized and the significant support (entries of x_hat above
+  1e-6 of its peak; atoms below that are rounding noise whose order may
+  change under any change of summation order);
+- to a relative tolerance of 1e-9 (plus 1e-20 absolute): mse and
+  threshold_floor.
+
+Regenerate the file (only when a change of results is intended) with
+
+    PYTHONPATH=src python tests/test_reference.py --write
+"""
+
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = Path(__file__).resolve().parent / "reference_trials.json"
+N_TRIALS = 20
+SIGNIFICANT = 1e-6
+REL_TOL = 1e-9
+ABS_TOL = 1e-20
+EXACT = ("iterations", "mac_count", "converged", "support_size",
+         "kappa_used", "kappa_realized", "significant_support")
+CLOSE = ("mse", "threshold_floor")
+
+# case name -> (config file, recovery algorithm)
+CASES = {
+    "threshold_4x2": ("configs/threshold_4x2.yaml", "cosamp"),
+    "model_4x2": ("configs/model_4x2.yaml", "cosamp"),
+    "model_4x2_omp": ("configs/model_4x2.yaml", "omp"),
+}
+
+
+def run_case(name: str) -> list[dict]:
+    from cs_sounding import pipeline
+    from cs_sounding.config import load_config
+
+    path, algorithm = CASES[name]
+    cfg, pdp = load_config(str(ROOT / path))
+    cfg = dataclasses.replace(
+        cfg, recovery=dataclasses.replace(cfg.recovery, algorithm=algorithm))
+    records = []
+    for trial in range(N_TRIALS):
+        res = pipeline.run_experiment(cfg, pdp, trial)
+        rec = res.recovery
+        mags = np.abs(rec.x_hat)
+        peak = float(mags.max()) if mags.size else 0.0
+        significant = np.flatnonzero(mags > SIGNIFICANT * peak) if peak > 0 else []
+        records.append({
+            "trial": trial,
+            "iterations": rec.iterations,
+            "mac_count": rec.mac_count,
+            "converged": bool(rec.converged),
+            "support_size": int(rec.support.size),
+            "kappa_used": res.kappa_used,
+            "kappa_realized": res.kappa_realized,
+            "significant_support": [int(i) for i in significant],
+            "mse": res.mse,
+            "threshold_floor": res.threshold_floor,
+        })
+    return records
+
+
+def mismatches(expected: dict, actual: dict) -> list[str]:
+    out = [f"{key}: expected {expected[key]!r}, got {actual[key]!r}"
+           for key in EXACT if expected[key] != actual[key]]
+    for key in CLOSE:
+        want, got = expected[key], actual[key]
+        if want is None or got is None:
+            ok = want is got
+        else:
+            ok = abs(got - want) <= REL_TOL * abs(want) + ABS_TOL
+        if not ok:
+            out.append(f"{key}: expected {want!r}, got {got!r}")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matches_reference(case):
+    expected = json.loads(FIXTURE.read_text())[case]
+    actual = run_case(case)
+    assert len(actual) == len(expected) == N_TRIALS
+    problems = [f"trial {e['trial']}: {msg}"
+                for e, a in zip(expected, actual) for msg in mismatches(e, a)]
+    assert not problems, "\n".join(problems)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_reference.py --write")
+    data = {name: run_case(name) for name in sorted(CASES)}
+    FIXTURE.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {FIXTURE}")
