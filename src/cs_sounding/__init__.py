@@ -29,7 +29,6 @@ from .feedback import (
 )
 from .numerics import (
     NotPositiveDefinite,
-    SvdConvergenceError,
     cholesky,
     dft_matrix,
     fft,
@@ -38,7 +37,6 @@ from .numerics import (
     ifft2d,
     kron_row,
     solve_normal_equations,
-    svd_small,
 )
 from .pipeline import (
     ExperimentResult,

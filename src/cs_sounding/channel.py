@@ -107,6 +107,18 @@ class ChannelRealization:
     h_2d: np.ndarray
     seed: int | None = None
 
+    @classmethod
+    def from_2d(cls, n_dft: int, n_t: int, n_r: int, h_2d: np.ndarray,
+                seed: int | None = None) -> "ChannelRealization":
+        """Rebuild the time and frequency views from the h_2d grid.
+
+        h_time is the forward unitary DFT of h_2d across the space index,
+        h_freq the forward unitary DFT of h_time along the tone axis.
+        """
+        h_2d = np.asarray(h_2d, dtype=np.complex128)
+        h_time = np.fft.fft(h_2d, axis=1, norm="ortho")
+        return cls(n_dft, n_t, n_r, h_time, numerics.fft_columns(h_time), h_2d, seed)
+
     @property
     def n_s(self) -> int:
         return self.n_t * self.n_r
@@ -126,13 +138,6 @@ def bin_pdp(pdp: PdpSpec) -> list[tuple[int, float]]:
         idx = int(delay // pdp.sample_period_ns)
         acc[idx] = acc.get(idx, 0.0) + 10.0 ** (power_db / 10.0)
     return sorted(acc.items())
-
-
-def _views_from_time(h_time: np.ndarray, n_s: int):
-    f_s = numerics.dft_matrix(n_s)
-    h_freq = numerics.fft_columns(h_time)
-    h_2d = h_time @ f_s.conj()  # F_s is symmetric, so conj() is its inverse
-    return h_freq, h_2d
 
 
 def generate_channel(pdp: PdpSpec, n_dft: int, n_t: int, n_r: int,
@@ -161,8 +166,9 @@ def generate_channel(pdp: PdpSpec, n_dft: int, n_t: int, n_r: int,
              1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
         colored = l_rx @ g @ l_tx.T
         h_time[d, :] = math.sqrt(p) * colored.reshape(-1)
-    h_freq, h_2d = _views_from_time(h_time, n_s)
-    return ChannelRealization(n_dft, n_t, n_r, h_time, h_freq, h_2d, seed)
+    h_2d = np.fft.ifft(h_time, axis=1, norm="ortho")  # inverse DFT across space
+    return ChannelRealization(n_dft, n_t, n_r, h_time, numerics.fft_columns(h_time),
+                              h_2d, seed)
 
 
 def threshold_taps(h: ChannelRealization, floor_db: float) -> ChannelRealization:
@@ -183,10 +189,7 @@ def threshold_taps(h: ChannelRealization, floor_db: float) -> ChannelRealization
         return h
     h_2d = h.h_2d.copy()
     h_2d[mask] = 0.0
-    f_s = numerics.dft_matrix(h.n_s)
-    h_time = h_2d @ f_s
-    h_freq = numerics.fft_columns(h_time)
-    return ChannelRealization(h.n_dft, h.n_t, h.n_r, h_time, h_freq, h_2d, h.seed)
+    return ChannelRealization.from_2d(h.n_dft, h.n_t, h.n_r, h_2d, h.seed)
 
 
 def sparsity(v: np.ndarray) -> int:

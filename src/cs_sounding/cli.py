@@ -22,7 +22,7 @@ from . import feedback as fb
 from . import numerics
 from . import pipeline
 from . import sounding as snd
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate_config
 from .sparse_recovery import DegenerateSupport, InsufficientMeasurements
 
 EXIT_OK = 0
@@ -153,6 +153,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--nkappa-list: {exc}") from exc
         if not nk_list:
             raise ConfigError("--nkappa-list: must give at least one value")
+        base_dir = os.path.dirname(os.path.abspath(args.config))
+        for n_kappa in nk_list:
+            try:
+                validate_config(cfg.with_n_kappa(n_kappa), base_dir)
+            except ConfigError as exc:
+                raise ConfigError(f"--nkappa-list: value {n_kappa}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 import yaml
 
 from .channel import PdpSpec, bin_pdp
+from .sounding import MAX_SHUFFLE_SIZE
 
 ALGORITHMS = ("cosamp", "omp")
 POWER_MODES = ("uniform", "boosted")
@@ -44,7 +45,6 @@ class RecoveryConfigSection:
     tau: float = 1e-6
     i_max: int = 50
     algorithm: str = "cosamp"
-    resolve_after_prune: bool = False
 
 
 @dataclass(frozen=True)
@@ -171,24 +171,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def _is(val, kind) -> bool:
+    """isinstance(val, kind), except that a bool never passes as a number."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     """Check every cross-field constraint; raise ConfigError listing all."""
     errors: list[str] = []
     d = cfg.dims
     for name, val in (("dims.n_dft", d.n_dft), ("dims.n_t", d.n_t), ("dims.n_r", d.n_r)):
-        if not isinstance(val, int) or val < 1:
+        if not _is(val, int) or val < 1:
             errors.append(f"{name}: must be a positive integer, got {val!r}")
+    dims_ok = not errors
     for name, rho in (("correlation.rho_tx", cfg.correlation.rho_tx),
                       ("correlation.rho_rx", cfg.correlation.rho_rx)):
-        if not isinstance(rho, (int, float)) or not 0.0 <= rho < 1.0:
+        if not _is(rho, (int, float)) or not 0.0 <= rho < 1.0:
             errors.append(f"{name}: must be in [0, 1), got {rho!r}")
 
     r = cfg.recovery
-    if not isinstance(r.kappa, int) or r.kappa < 1:
+    if not _is(r.kappa, int) or r.kappa < 1:
         errors.append(f"recovery.kappa: must be a positive integer, got {r.kappa!r}")
-    if not isinstance(r.tau, (int, float)) or not 0.0 < r.tau < 1.0:
+    if not _is(r.tau, (int, float)) or not 0.0 < r.tau < 1.0:
         errors.append(f"recovery.tau: must be in (0, 1), got {r.tau!r}")
-    if not isinstance(r.i_max, int) or r.i_max < 1:
+    if not _is(r.i_max, int) or r.i_max < 1:
         errors.append(f"recovery.i_max: must be >= 1, got {r.i_max!r}")
     if r.algorithm not in ALGORITHMS:
         errors.append(
@@ -196,41 +202,48 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         )
 
     s = cfg.sounding
-    if not isinstance(s.seed, int) or not 1 <= s.seed <= 0xFFFF:
+    if not _is(s.seed, int) or not 1 <= s.seed <= 0xFFFF:
         errors.append(
             f"sounding.seed: must be a nonzero 16-bit integer (1..65535), got {s.seed!r}"
         )
-    n_usable = d.n_dft if s.usable_tones is None else len(set(s.usable_tones))
-    if s.usable_tones is not None:
-        bad = [t for t in s.usable_tones if not 0 <= t < d.n_dft]
-        if bad:
+    available = None  # estimates one sounding yields; only defined for valid dims
+    if dims_ok:
+        n_usable = d.n_dft if s.usable_tones is None else len(set(s.usable_tones))
+        if s.usable_tones is not None:
+            bad = [t for t in s.usable_tones if not 0 <= t < d.n_dft]
+            if bad:
+                errors.append(
+                    f"sounding.usable_tones: indices {bad} outside [0, {d.n_dft})"
+                )
+            elif n_usable < d.n_t:
+                errors.append(
+                    f"sounding.usable_tones: {n_usable} tones cannot cover {d.n_t} antennas"
+                )
+        available = n_usable * d.n_r
+        if available > MAX_SHUFFLE_SIZE:
             errors.append(
-                f"sounding.usable_tones: indices {bad} outside [0, {d.n_dft})"
+                f"dims: {n_usable} usable tones x {d.n_r} rx = {available} estimates, "
+                f"more than the {MAX_SHUFFLE_SIZE} the 16-bit LFSR shuffle can permute"
             )
-        elif n_usable < d.n_t:
-            errors.append(
-                f"sounding.usable_tones: {n_usable} tones cannot cover {d.n_t} antennas"
-            )
-    available = n_usable * d.n_r
-    if not isinstance(s.n_kappa, int) or s.n_kappa < 1:
+    if not _is(s.n_kappa, int) or s.n_kappa < 1:
         errors.append(f"sounding.n_kappa: must be a positive integer, got {s.n_kappa!r}")
-    elif isinstance(r.kappa, int) and s.n_kappa < 2 * r.kappa:
+    elif _is(r.kappa, int) and s.n_kappa < 2 * r.kappa:
         errors.append(
             f"sounding.n_kappa: must be >= 2*recovery.kappa = {2 * r.kappa}, got {s.n_kappa!r}"
         )
-    elif s.n_kappa > available:
+    elif available is not None and s.n_kappa > available:
         errors.append(
             f"sounding.n_kappa: only {available} measurements available "
             f"({n_usable} tones x {d.n_r} rx), got {s.n_kappa!r}"
         )
-    if s.snr_db is not None and not isinstance(s.snr_db, (int, float)):
+    if s.snr_db is not None and not _is(s.snr_db, (int, float)):
         errors.append(f"sounding.snr_db: must be a number or null, got {s.snr_db!r}")
     if s.power_mode not in POWER_MODES:
         errors.append(
             f"sounding.power_mode: must be one of {list(POWER_MODES)}, got {s.power_mode!r}"
         )
     if s.threshold_db is not None and (
-            not isinstance(s.threshold_db, (int, float)) or not s.threshold_db > 0):
+            not _is(s.threshold_db, (int, float)) or not s.threshold_db > 0):
         errors.append(
             f"sounding.threshold_db: must be positive or null, got {s.threshold_db!r}"
         )
@@ -238,16 +251,16 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     f = cfg.feedback
     if f.mode not in FEEDBACK_MODES:
         errors.append(f"feedback.mode: must be one of {list(FEEDBACK_MODES)}, got {f.mode!r}")
-    if f.quant_bits is not None and (not isinstance(f.quant_bits, int) or f.quant_bits < 1):
+    if f.quant_bits is not None and (not _is(f.quant_bits, int) or f.quant_bits < 1):
         errors.append(f"feedback.quant_bits: must be a positive integer or null, got {f.quant_bits!r}")
-    if not isinstance(f.n_tones, int) or f.n_tones < 0:
+    if not _is(f.n_tones, int) or f.n_tones < 0:
         errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
-    if not isinstance(f.ltf_duration_us, (int, float)) or not f.ltf_duration_us > 0:
+    if not _is(f.ltf_duration_us, (int, float)) or not f.ltf_duration_us > 0:
         errors.append(f"feedback.ltf_duration_us: must be positive, got {f.ltf_duration_us!r}")
 
-    if not isinstance(cfg.trials, int) or cfg.trials < 1:
+    if not _is(cfg.trials, int) or cfg.trials < 1:
         errors.append(f"trials: must be a positive integer, got {cfg.trials!r}")
-    if not isinstance(cfg.master_seed, int) or cfg.master_seed < 0:
+    if not _is(cfg.master_seed, int) or cfg.master_seed < 0:
         errors.append(f"master_seed: must be a non-negative integer, got {cfg.master_seed!r}")
 
     if not errors:

@@ -1,11 +1,12 @@
 """Complex linear algebra and transform kernels.
 
-Everything here is deliberately self-contained: unitary DFT matrices and
-FFTs, single rows of the tone-by-space Kronecker transform, a complex
-Cholesky factorization with triangular solves (the least-squares path used
-inside the greedy recovery solvers), and a small one-sided Jacobi SVD.
-All transforms use the unitary convention (1/sqrt(N) on both directions),
-so Parseval holds and Kronecker rows are unit norm.
+Unitary FFTs (numpy's, norm="ortho"), explicit DFT matrices and single
+rows of the tone-by-space Kronecker transform (an independent reference
+path for the FFTs), and the normal-equation least squares used inside the
+greedy recovery solvers: a LAPACK Cholesky factorization with a rank
+tolerance on its pivots, then two triangular solves. All transforms use
+the unitary convention (1/sqrt(N) on both directions), so Parseval holds
+and Kronecker rows are unit norm.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 class NotPositiveDefinite(ArithmeticError):
     """Cholesky pivot fell below the rank tolerance: the Gram matrix is
     (numerically) rank deficient."""
-
-
-class SvdConvergenceError(ArithmeticError):
-    """Jacobi sweeps did not converge within the sweep cap."""
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -46,92 +43,55 @@ def dft_row(n: int, k: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (k * np.arange(n)) / n) / math.sqrt(n)
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _transform_columns(a: np.ndarray, sign: int) -> np.ndarray:
-    """Unitary DFT along axis 0. sign=-1 forward, sign=+1 inverse.
-
-    Radix-2 decimation in time when the length is a power of two, dense
-    matrix product otherwise.
-    """
+def _transform(a: np.ndarray, inverse: bool, axes) -> np.ndarray:
+    """Unitary (norm="ortho") complex128 DFT over the given axes."""
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return a.copy()
-    if n & (n - 1):  # not a power of two
-        f = dft_matrix(n)
-        return (f.conj() if sign > 0 else f) @ a
-
-    flat = a.reshape(n, -1)
-    data = flat[_bit_reverse_indices(n)].copy()
-    m = data.shape[1]
-    half = 1
-    while half < n:
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / (2.0 * half))
-        blocks = data.reshape(-1, 2, half, m)
-        top = blocks[:, 0]
-        bot = blocks[:, 1] * tw[None, :, None]
-        data = np.stack([top + bot, top - bot], axis=1).reshape(n, m)
-        half *= 2
-    data /= math.sqrt(n)
-    return data.reshape(a.shape)
+    if inverse:
+        return np.fft.ifftn(a, axes=axes, norm="ortho")
+    return np.fft.fftn(a, axes=axes, norm="ortho")
 
 
 def fft(v: np.ndarray) -> np.ndarray:
     """Unitary forward DFT of a vector; matches dft_matrix(n) @ v."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
+    if np.ndim(v) != 1:
         raise ValueError("fft expects a 1-D vector; use fft2d for matrices")
-    return _transform_columns(v, -1)
+    return _transform(v, False, (0,))
 
 
 def ifft(v: np.ndarray) -> np.ndarray:
     """Unitary inverse DFT; ifft(fft(v)) == v."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1:
+    if np.ndim(v) != 1:
         raise ValueError("ifft expects a 1-D vector; use ifft2d for matrices")
-    return _transform_columns(v, +1)
+    return _transform(v, True, (0,))
 
 
 def fft_columns(a: np.ndarray) -> np.ndarray:
     """Unitary forward DFT of each column of a 2-D array."""
-    return _transform_columns(np.atleast_2d(a), -1)
+    return _transform(np.atleast_2d(a), False, (0,))
 
 
 def ifft_columns(a: np.ndarray) -> np.ndarray:
     """Unitary inverse DFT of each column of a 2-D array."""
-    return _transform_columns(np.atleast_2d(a), +1)
+    return _transform(np.atleast_2d(a), True, (0,))
 
 
 def fft2d(h: np.ndarray) -> np.ndarray:
     """Two-sided transform F_rows @ h @ F_cols with unitary DFT factors.
 
     Maps the doubly-transformed delay/space-index grid back to the
-    tone/space grid. Inverse of ifft2d.
+    tone/space grid (the DFT matrices are symmetric, so right-multiplying
+    transforms the rows). Inverse of ifft2d.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
+    if np.ndim(h) != 2:
         raise ValueError("fft2d expects a 2-D array")
-    left = _transform_columns(h, -1)
-    # right-multiplying by the symmetric DFT matrix == transforming rows
-    return _transform_columns(left.T, -1).T
+    return _transform(h, False, (0, 1))
 
 
 def ifft2d(h: np.ndarray) -> np.ndarray:
     """Two-sided inverse transform F^H @ h @ F^H; inverse of fft2d."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
+    if np.ndim(h) != 2:
         raise ValueError("ifft2d expects a 2-D array")
-    left = _transform_columns(h, +1)
-    return _transform_columns(left.T, +1).T
+    return _transform(h, True, (0, 1))
 
 
 def kron_row(model_dims: tuple[int, int], row_index: int) -> np.ndarray:
@@ -151,53 +111,35 @@ def kron_row(model_dims: tuple[int, int], row_index: int) -> np.ndarray:
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.conj().T == a for Hermitian PD input.
 
-    The diagonal of L is real positive. Raises NotPositiveDefinite when a
-    pivot falls at or below 1e-12 * trace/n, which is how rank-deficient
-    Gram matrices surface to the recovery solvers.
+    LAPACK factorization of the lower triangle; the diagonal of L is real
+    positive. Raises NotPositiveDefinite when LAPACK fails or a squared
+    pivot real(L[j, j])**2 falls at or below 1e-12 * trace/n, which is how
+    rank-deficient Gram matrices surface to the recovery solvers.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    eps = 1e-12 * float(np.real(np.trace(a))) / n
-    low = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        pivot = float(np.real(a[j, j])) - float(np.real(low[j, :j] @ low[j, :j].conj()))
-        if pivot <= eps:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} (tolerance {eps:.3e})"
-            )
-        d = math.sqrt(pivot)
-        low[j, j] = d
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j].conj()) / d
+    eps = 1e-12 * float(np.real(np.trace(a))) / a.shape[0]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"LAPACK Cholesky failed: {exc}") from exc
+    pivots = np.real(np.diagonal(low)) ** 2
+    small = np.flatnonzero(pivots <= eps)
+    if small.size:
+        j = int(small[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at index {j} (tolerance {eps:.3e})"
+        )
     return low
-
-
-def solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Forward substitution for lower-triangular systems."""
-    n = low.shape[0]
-    x = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
-
-
-def solve_upper(up: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Back substitution for upper-triangular systems."""
-    n = up.shape[0]
-    x = np.zeros(n, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - up[i, i + 1:] @ x[i + 1:]) / up[i, i]
-    return x
 
 
 def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solution of phi_t @ b ~= y via the normal equations.
 
-    Forms the Gram matrix, factorizes it with `cholesky`, and runs the two
-    triangular solves. Never builds an explicit pseudo-inverse. Propagates
-    NotPositiveDefinite for rank-deficient column sets.
+    Forms the Gram matrix, factorizes it with `cholesky`, and solves the
+    two triangular systems. Never builds an explicit pseudo-inverse.
+    Propagates NotPositiveDefinite for rank-deficient column sets.
     """
     phi_t = np.asarray(phi_t, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -212,102 +154,4 @@ def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
     gram = phi_t.conj().T @ phi_t
     rhs = phi_t.conj().T @ y
     low = cholesky(gram)
-    return solve_upper(low.conj().T, solve_lower(low, rhs))
-
-
-def _orthonormal_completion(u: np.ndarray, filled: list[int]) -> None:
-    """Fill the unset columns of u with an orthonormal completion.
-
-    Deterministic: candidates are canonical basis vectors, Gram-Schmidt
-    against everything already placed.
-    """
-    r = u.shape[0]
-    empty = [i for i in range(r) if i not in filled]
-    basis = [u[:, i] for i in filled]
-    cand = 0
-    for slot in empty:
-        while True:
-            v = np.zeros(r, dtype=np.complex128)
-            v[cand] = 1.0
-            cand += 1
-            for w in basis:
-                v = v - (w.conj() @ v) * w
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-6:
-                v /= norm
-                break
-        u[:, slot] = v
-        basis.append(v)
-
-
-def _jacobi_svd_tall(b: np.ndarray, max_sweeps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi on a tall (rows >= cols) complex matrix."""
-    b = np.array(b, dtype=np.complex128)
-    r, c = b.shape
-    v = np.eye(c, dtype=np.complex128)
-    tol = 1e-14
-    converged = c == 1
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        worst = 0.0
-        for p in range(c - 1):
-            for q in range(p + 1, c):
-                app = float(np.real(np.vdot(b[:, p], b[:, p])))
-                aqq = float(np.real(np.vdot(b[:, q], b[:, q])))
-                apq = complex(np.vdot(b[:, p], b[:, q]))
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                rel = abs(apq) / math.sqrt(app * aqq)
-                worst = max(worst, rel)
-                if rel <= tol:
-                    continue
-                alpha = apq / abs(apq)
-                tau = (aqq - app) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = cs * t
-                rot = np.array(
-                    [[cs, sn], [-sn * np.conj(alpha), cs * np.conj(alpha)]],
-                    dtype=np.complex128,
-                )
-                b[:, [p, q]] = b[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if worst <= tol:
-            converged = True
-    if not converged:
-        raise SvdConvergenceError(f"no convergence after {max_sweeps} sweeps")
-
-    norms = np.sqrt(np.sum(np.abs(b) ** 2, axis=0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-
-    u = np.zeros((r, r), dtype=np.complex128)
-    cutoff = norms[0] * 1e-13 if norms.size and norms[0] > 0 else 0.0
-    filled = []
-    for i in range(c):
-        if norms[i] > cutoff:
-            u[:, i] = b[:, i] / norms[i]
-            filled.append(i)
-    _orthonormal_completion(u, filled)
-    return u, norms, v
-
-
-def svd_small(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD of a small complex matrix via one-sided Jacobi.
-
-    Returns (u, s, v) with a == u[:, :p] @ diag(s) @ v[:, :p].conj().T,
-    p = min(shape), u and v square unitary, s real non-negative descending.
-    Intended for the small per-tone matrices of a MIMO link; raises
-    SvdConvergenceError after `max_sweeps` sweeps without convergence.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError("svd_small expects a 2-D array")
-    m, n = a.shape
-    if m >= n:
-        return _jacobi_svd_tall(a, max_sweeps)
-    ub, s, vb = _jacobi_svd_tall(a.conj().T, max_sweeps)
-    return vb, s, ub
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, rhs))

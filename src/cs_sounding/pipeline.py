@@ -185,24 +185,26 @@ def recover_channel(model: MeasurementModel, cfg: sr.RecoveryConfig,
     )
     solver = sr.cosamp if algorithm == "cosamp" else sr.omp
     result = solver(operator, model.y, cfg)
-    h_2d = devectorize(result.x_hat, (model.n_dft, model.n_s))
-    f_s = numerics.dft_matrix(model.n_s)
-    h_time = h_2d @ f_s
-    h_freq = numerics.fft_columns(h_time)
-    realization = chan.ChannelRealization(
-        model.n_dft, model.n_t, model.n_r, h_time, h_freq, h_2d, seed=None
+    realization = chan.ChannelRealization.from_2d(
+        model.n_dft, model.n_t, model.n_r,
+        devectorize(result.x_hat, (model.n_dft, model.n_s)),
     )
     return realization, result
 
 
-def mse(h_true: chan.ChannelRealization, h_rec: chan.ChannelRealization) -> float:
-    """Relative squared error between the doubly-transformed tap grids."""
-    ref = vectorize_rowmajor(h_true.h_2d)
-    err = vectorize_rowmajor(h_rec.h_2d) - ref
+def _relative_error(ref: np.ndarray, est: np.ndarray) -> float:
+    """||est - ref||^2 / ||ref||^2 over the row-major vectorizations."""
+    ref = vectorize_rowmajor(ref)
+    err = float(np.linalg.norm(vectorize_rowmajor(est) - ref)) ** 2
     denom = float(np.linalg.norm(ref)) ** 2
     if denom == 0.0:
-        return 0.0 if float(np.linalg.norm(err)) == 0.0 else math.inf
-    return float(np.linalg.norm(err)) ** 2 / denom
+        return 0.0 if err == 0.0 else math.inf
+    return err / denom
+
+
+def mse(h_true: chan.ChannelRealization, h_rec: chan.ChannelRealization) -> float:
+    """Relative squared error between the doubly-transformed tap grids."""
+    return _relative_error(h_true.h_2d, h_rec.h_2d)
 
 
 def mse_freq(h_true: chan.ChannelRealization, h_rec: chan.ChannelRealization) -> float:
@@ -211,12 +213,7 @@ def mse_freq(h_true: chan.ChannelRealization, h_rec: chan.ChannelRealization) ->
     Equal to mse() up to rounding because the transforms are unitary;
     reported separately so outputs carry both views.
     """
-    ref = vectorize_rowmajor(h_true.h_freq)
-    err = vectorize_rowmajor(h_rec.h_freq) - ref
-    denom = float(np.linalg.norm(ref)) ** 2
-    if denom == 0.0:
-        return 0.0 if float(np.linalg.norm(err)) == 0.0 else math.inf
-    return float(np.linalg.norm(err)) ** 2 / denom
+    return _relative_error(h_true.h_freq, h_rec.h_freq)
 
 
 def overhead_report(n_t: int, n_r: int, mode: str, n_kappa: int, n_dft: int,
@@ -263,12 +260,7 @@ def run_experiment(cfg: ExperimentConfig, pdp: chan.PdpSpec | None = None,
     kappa_used = cfg.recovery.kappa
     if cfg.sounding.threshold_db is not None:
         h_thr = chan.threshold_taps(h, cfg.sounding.threshold_db)
-        kept = vectorize_rowmajor(h_thr.h_2d)
-        full = vectorize_rowmajor(h.h_2d)
-        total = float(np.linalg.norm(full)) ** 2
-        threshold_floor = (
-            float(np.linalg.norm(full - kept)) ** 2 / total if total > 0 else 0.0
-        )
+        threshold_floor = _relative_error(h.h_2d, h_thr.h_2d)
         kappa_used = min(kappa_used, max(chan.sparsity(h_thr.h_2d), 1))
 
     alloc = snd.allocate_ltf(d.n_dft, d.n_t, seeds.allocation,
@@ -283,7 +275,6 @@ def run_experiment(cfg: ExperimentConfig, pdp: chan.PdpSpec | None = None,
     )
     solver_cfg = sr.RecoveryConfig(
         kappa=kappa_used, tau=cfg.recovery.tau, i_max=cfg.recovery.i_max,
-        resolve_after_prune=cfg.recovery.resolve_after_prune,
     )
     recovered, recovery = recover_channel(model, solver_cfg, cfg.recovery.algorithm)
     reports = overhead_report(

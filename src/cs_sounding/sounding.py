@@ -25,6 +25,9 @@ class UnsupportedDimension(ValueError):
 
 LFSR_STATE_BITS = 16
 LFSR_PERIOD = 2**LFSR_STATE_BITS - 1
+# Largest n knuth_shuffle can permute: each draw needs a 16-bit word below
+# floor(2^16 / k) * k, which no word is once the range k exceeds 2^16.
+MAX_SHUFFLE_SIZE = 2**LFSR_STATE_BITS
 
 
 @dataclass(frozen=True)
@@ -183,10 +186,11 @@ def knuth_shuffle(n: int, seed: int) -> np.ndarray:
     """Fisher-Yates permutation of 0..n-1 driven by the 16-bit LFSR.
 
     Words >= floor(2^16 / k) * k are rejected before the modulo, keeping
-    every draw uniform over its range.
+    every draw uniform over its range. Raises ValueError for n above
+    MAX_SHUFFLE_SIZE, where that rejection loop could never end.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_SHUFFLE_SIZE:
+        raise ValueError(f"n must be in [1, {MAX_SHUFFLE_SIZE}], got {n}")
     gen = Lfsr16(seed)
     perm = np.arange(n)
     for i in range(n - 1, 0, -1):

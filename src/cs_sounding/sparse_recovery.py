@@ -29,17 +29,11 @@ class DegenerateSupport(RuntimeError):
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Solver knobs: sparsity target, relative residual stop, iteration cap.
-
-    resolve_after_prune re-fits the least squares on the pruned support
-    before the residual update (off by default: the plain update keeps the
-    coefficients from the merged-support solve).
-    """
+    """Solver knobs: sparsity target, relative residual stop, iteration cap."""
 
     kappa: int
     tau: float = 1e-6
     i_max: int = 50
-    resolve_after_prune: bool = False
 
     def __post_init__(self):
         if self.kappa < 1:
@@ -165,32 +159,97 @@ def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray,
     return numerics.solve_normal_equations(cols, y)
 
 
-def _solve_merged(phi, support, proxy, y, kappa, macs):
-    """Merged-support least squares with the halved-candidate retry."""
-    omega = support_select(proxy, min(2 * kappa, proxy.shape[0]))
-    t_set = np.union1d(support, omega).astype(np.intp)
-    try:
-        return t_set, _restricted_lstsq(phi, t_set, y, macs)
-    except NotPositiveDefinite:
-        pass
-    omega = support_select(proxy, min(kappa, proxy.shape[0]))
-    t_set = np.union1d(support, omega).astype(np.intp)
-    try:
-        return t_set, _restricted_lstsq(phi, t_set, y, macs)
-    except NotPositiveDefinite as exc:
-        raise DegenerateSupport(
-            f"rank-deficient support of size {t_set.size} after retry"
-        ) from exc
+def _cosamp_step(phi, y, proxy, support, kappa, macs):
+    """Merged-support least squares with the halved-candidate retry, then
+    prune back to the kappa largest coefficients."""
+    for n_cand in (2 * kappa, kappa):
+        omega = support_select(proxy, min(n_cand, proxy.shape[0]))
+        t_set = np.union1d(support, omega).astype(np.intp)
+        try:
+            b = _restricted_lstsq(phi, t_set, y, macs)
+            break
+        except NotPositiveDefinite as exc:
+            if n_cand == kappa:
+                raise DegenerateSupport(
+                    f"rank-deficient support of size {t_set.size} after retry"
+                ) from exc
+    keep = support_select(b, min(kappa, t_set.size))
+    return t_set[keep], b[keep]
 
 
-def _empty_result(n: int) -> SparseRecoveryResult:
+def _omp_step(phi, y, proxy, support, kappa, macs):
+    """Add the strongest unused atom (retrying once with the next one when
+    the least squares is rank deficient); None when no atom correlates."""
+    mags = np.abs(proxy)
+    if support.size:
+        mags[support] = -1.0
+    for attempt in range(2):
+        pick = int(np.argmax(mags))
+        if mags[pick] <= 0.0:
+            if attempt:
+                raise DegenerateSupport("no usable atom left after retry")
+            return None
+        trial = np.union1d(support, [pick]).astype(np.intp)
+        try:
+            return trial, _restricted_lstsq(phi, trial, y, macs)
+        except NotPositiveDefinite as exc:
+            if attempt:
+                raise DegenerateSupport(
+                    f"rank-deficient support of size {trial.size} after retry"
+                ) from exc
+            mags[pick] = -1.0
+
+
+def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
+             step, stop_at_kappa: bool) -> SparseRecoveryResult:
+    """Input checks, residual loop and result shared by cosamp and omp.
+
+    Each iteration correlates the residual against the operator, lets
+    `step` pick the new support and its least-squares coefficients (or
+    None to keep the current estimate), and updates the residual. Stops
+    when the relative residual drops to cfg.tau, after cfg.i_max
+    iterations, or (stop_at_kappa) once the support holds cfg.kappa atoms.
+    """
+    n_kappa, n = phi.shape
+    if 2 * cfg.kappa > n_kappa:
+        raise InsufficientMeasurements(
+            f"need at least 2*kappa={2 * cfg.kappa} rows, operator has {n_kappa}"
+        )
+    y = np.asarray(y, dtype=np.complex128)
+    if y.shape[0] != n_kappa:
+        raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
+    y_norm = float(np.linalg.norm(y))
+    x_hat = np.zeros(n, dtype=np.complex128)
+    support = np.array([], dtype=np.intp)
+    if y_norm == 0.0:
+        return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True)
+
+    macs = _MacTally()
+    r = y.copy()
+    rel = 1.0
+    history: list[float] = []
+    while len(history) < cfg.i_max and rel > cfg.tau:
+        proxy = phi.rmatvec(r)
+        macs.add(n * n_kappa)
+        picked = step(phi, y, proxy, support, cfg.kappa, macs)
+        if picked is not None:
+            support, b = picked
+            x_hat = np.zeros(n, dtype=np.complex128)
+            x_hat[support] = b
+            r = y - phi.columns(support) @ b
+            macs.add(n_kappa * support.size)
+            rel = float(np.linalg.norm(r)) / y_norm
+        history.append(rel)
+        if stop_at_kappa and support.size >= cfg.kappa and rel > cfg.tau:
+            break  # sparsity budget exhausted, no further progress possible
+
     return SparseRecoveryResult(
-        x_hat=np.zeros(n, dtype=np.complex128),
-        support=np.array([], dtype=np.intp),
-        residual_history=[0.0],
-        iterations=0,
-        mac_count=0,
-        converged=True,
+        x_hat=x_hat,
+        support=support,
+        residual_history=history,
+        iterations=len(history),
+        mac_count=macs.count,
+        converged=rel <= cfg.tau,
     )
 
 
@@ -204,51 +263,7 @@ def cosamp(phi: MeasurementOperator, y: np.ndarray,
     and update the residual. Stops when the relative residual drops to
     cfg.tau or after cfg.i_max iterations.
     """
-    n_kappa, n = phi.shape
-    if 2 * cfg.kappa > n_kappa:
-        raise InsufficientMeasurements(
-            f"need at least 2*kappa={2 * cfg.kappa} rows, operator has {n_kappa}"
-        )
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape[0] != n_kappa:
-        raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
-        return _empty_result(n)
-
-    macs = _MacTally()
-    support = np.array([], dtype=np.intp)
-    x_hat = np.zeros(n, dtype=np.complex128)
-    r = y.copy()
-    rel = 1.0
-    history: list[float] = []
-    iterations = 0
-
-    while iterations < cfg.i_max and rel > cfg.tau:
-        proxy = phi.rmatvec(r)
-        macs.add(n * n_kappa)
-        t_set, b = _solve_merged(phi, support, proxy, y, cfg.kappa, macs)
-        keep = support_select(b, min(cfg.kappa, t_set.size))
-        support = t_set[keep]
-        b_kept = b[keep]
-        if cfg.resolve_after_prune:
-            b_kept = _restricted_lstsq(phi, support, y, macs)
-        x_hat = np.zeros(n, dtype=np.complex128)
-        x_hat[support] = b_kept
-        r = y - phi.columns(support) @ b_kept
-        macs.add(n_kappa * support.size)
-        rel = float(np.linalg.norm(r)) / y_norm
-        history.append(rel)
-        iterations += 1
-
-    return SparseRecoveryResult(
-        x_hat=x_hat,
-        support=support,
-        residual_history=history,
-        iterations=iterations,
-        mac_count=macs.count,
-        converged=rel <= cfg.tau,
-    )
+    return _pursuit(phi, y, cfg, _cosamp_step, stop_at_kappa=False)
 
 
 def omp(phi: MeasurementOperator, y: np.ndarray,
@@ -260,66 +275,4 @@ def omp(phi: MeasurementOperator, y: np.ndarray,
     same stopping rule as cosamp. Stops early once the support holds
     cfg.kappa atoms, since the estimate cannot grow further.
     """
-    n_kappa, n = phi.shape
-    if 2 * cfg.kappa > n_kappa:
-        raise InsufficientMeasurements(
-            f"need at least 2*kappa={2 * cfg.kappa} rows, operator has {n_kappa}"
-        )
-    y = np.asarray(y, dtype=np.complex128)
-    if y.shape[0] != n_kappa:
-        raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
-        return _empty_result(n)
-
-    macs = _MacTally()
-    support = np.array([], dtype=np.intp)
-    x_hat = np.zeros(n, dtype=np.complex128)
-    r = y.copy()
-    rel = 1.0
-    history: list[float] = []
-    iterations = 0
-
-    while iterations < cfg.i_max and rel > cfg.tau:
-        proxy = phi.rmatvec(r)
-        macs.add(n * n_kappa)
-        mags = np.abs(proxy)
-        if support.size:
-            mags[support] = -1.0
-        pick = int(np.argmax(mags))
-        if mags[pick] > 0.0:
-            trial = np.union1d(support, [pick]).astype(np.intp)
-            try:
-                b = _restricted_lstsq(phi, trial, y, macs)
-            except NotPositiveDefinite:
-                # retry once with the next-strongest unused atom
-                mags[pick] = -1.0
-                pick = int(np.argmax(mags))
-                if mags[pick] <= 0.0:
-                    raise DegenerateSupport("no usable atom left after retry")
-                trial = np.union1d(support, [pick]).astype(np.intp)
-                try:
-                    b = _restricted_lstsq(phi, trial, y, macs)
-                except NotPositiveDefinite as exc:
-                    raise DegenerateSupport(
-                        f"rank-deficient support of size {trial.size} after retry"
-                    ) from exc
-            support = trial
-            x_hat = np.zeros(n, dtype=np.complex128)
-            x_hat[support] = b
-            r = y - phi.columns(support) @ b
-            macs.add(n_kappa * support.size)
-            rel = float(np.linalg.norm(r)) / y_norm
-        history.append(rel)
-        iterations += 1
-        if support.size >= cfg.kappa and rel > cfg.tau:
-            break  # sparsity budget exhausted, no further progress possible
-
-    return SparseRecoveryResult(
-        x_hat=x_hat,
-        support=support,
-        residual_history=history,
-        iterations=iterations,
-        mac_count=macs.count,
-        converged=rel <= cfg.tau,
-    )
+    return _pursuit(phi, y, cfg, _omp_step, stop_at_kappa=True)

@@ -107,6 +107,16 @@ class TestGenerateChannel:
         h = generate_channel(PdpSpec.default(), 32, 2, 2, seed=3)
         np.testing.assert_allclose(nm.fft2d(h.h_2d), h.h_freq, atol=1e-10)
 
+    def test_from_2d_rebuilds_generated_views(self):
+        h = generate_channel(PdpSpec.default(), 32, 4, 2, seed=4)
+        rebuilt = ChannelRealization.from_2d(32, 4, 2, h.h_2d, seed=4)
+        np.testing.assert_array_equal(rebuilt.h_2d, h.h_2d)
+        # dense oracle: h_time = h_2d @ F_s, h_freq = F_n @ h_time
+        np.testing.assert_allclose(rebuilt.h_time, h.h_2d @ nm.dft_matrix(8), atol=1e-12)
+        np.testing.assert_allclose(rebuilt.h_time, h.h_time, atol=1e-12)
+        np.testing.assert_allclose(rebuilt.h_freq, h.h_freq, atol=1e-12)
+        assert rebuilt.seed == 4
+
     def test_delay_spread_must_fit(self):
         pdp = PdpSpec(taps=((0.0, 0.0), (500.0, -3.0)), sample_period_ns=50.0)
         with pytest.raises(DelaySpreadExceedsDft):

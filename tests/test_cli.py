@@ -99,6 +99,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.yaml")
 
+    @pytest.mark.parametrize("field", [
+        "dims.n_dft", "dims.n_t", "dims.n_r",
+        "correlation.rho_tx", "correlation.rho_rx",
+        "recovery.kappa", "recovery.tau", "recovery.i_max",
+        "sounding.seed", "sounding.n_kappa", "sounding.snr_db", "sounding.threshold_db",
+        "feedback.quant_bits", "feedback.n_tones", "feedback.ltf_duration_us",
+        "trials", "master_seed",
+    ])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected_in_numeric_field(self, field, flag):
+        data = json.loads(json.dumps(TINY_CONFIG))
+        *section, key = field.split(".")
+        (data[section[0]] if section else data)[key] = flag
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            validate_config(config_from_dict(data))
+
+    def test_more_estimates_than_the_shuffle_can_permute(self, tmp_path, capsys):
+        # 32768 tones x 4 rx = 131072 estimates > 2^16
+        big = dict(TINY_CONFIG, dims={"n_dft": 32768, "n_t": 2, "n_r": 4})
+        with pytest.raises(ConfigError, match="131072 estimates"):
+            validate_config(config_from_dict(big))
+        rc = main(["simulate", "--config", write_config(tmp_path, big),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "16-bit LFSR shuffle" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_result_and_channel(self, tmp_path):
@@ -196,6 +222,21 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", cfg_path, "--nkappa-list", " "])
         assert rc == 2
         assert "nkappa-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("600", "available"),  # the 64-tone 2-rx config yields 128 estimates
+        ("30", "2*recovery.kappa"),  # below 2*kappa = 40
+    ])
+    def test_invalid_value_exits_2_before_any_work(self, tmp_path, capsys, bad, reason):
+        cfg_path = write_config(tmp_path, TINY_CONFIG)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", cfg_path, "--out", str(out),
+                   "--nkappa-list", f"80,{bad}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--nkappa-list: value {bad}" in err and reason in err
+        assert "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
 
 
 class TestOverheadCommand:

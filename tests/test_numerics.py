@@ -1,9 +1,8 @@
 """Tests for the complex linear algebra and transform kernels.
 
 Oracles are kept independent of the implementation: dense matrix products
-for the FFTs, reconstruction for the factorizations, an explicit
-Gram-inverse pseudo-inverse for least squares, and the quadratic formula
-for small eigenvalue checks.
+for the FFTs, reconstruction for the factorization, and an explicit
+Gram-inverse pseudo-inverse for least squares.
 """
 
 import numpy as np
@@ -224,58 +223,3 @@ class TestSolveNormalEquations:
         with pytest.raises(ValueError):
             nm.solve_normal_equations(np.ones((2, 4), dtype=complex), np.ones(2))
 
-
-class TestSvdSmall:
-    def test_real_diagonal(self):
-        a = np.diag([3.0, -7.0, 0.5]).astype(complex)
-        _, s, _ = nm.svd_small(a)
-        np.testing.assert_allclose(s, [7.0, 3.0, 0.5], atol=1e-12)
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(17)
-        u = random_complex(rng, 5)
-        v = random_complex(rng, 3)
-        a = np.outer(u, v.conj())
-        _, s, _ = nm.svd_small(a)
-        assert abs(s[0] - np.linalg.norm(u) * np.linalg.norm(v)) < 1e-9
-        assert np.all(s[1:] < 1e-9)
-
-    def test_wide_2x4_reconstruction_and_gram_eigenvalues(self):
-        rng = np.random.default_rng(18)
-        a = random_complex(rng, 2, 4)
-        u, s, v = nm.svd_small(a)
-        rec = u[:, :2] @ np.diag(s) @ v[:, :2].conj().T
-        assert np.linalg.norm(rec - a) / np.linalg.norm(a) < 1e-9
-        # eigenvalues of the 2x2 Gram A A^H via the quadratic formula
-        g = a @ a.conj().T
-        tr = g[0, 0].real + g[1, 1].real
-        det = (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real
-        disc = np.sqrt(tr * tr / 4.0 - det)
-        eigs = np.array([tr / 2.0 + disc, tr / 2.0 - disc])
-        np.testing.assert_allclose(s**2, eigs, rtol=1e-9)
-
-    @pytest.mark.parametrize("shape", [(4, 4), (6, 2), (3, 5), (16, 4), (1, 1)])
-    def test_factors_unitary_and_reconstruct(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        a = random_complex(rng, *shape)
-        u, s, v = nm.svd_small(a)
-        m, n = shape
-        p = min(m, n)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(m))) < 1e-9
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-9
-        rec = u[:, :p] @ np.diag(s) @ v[:, :p].conj().T
-        assert np.linalg.norm(rec - a) / np.linalg.norm(a) < 1e-9
-        assert np.all(np.diff(s) <= 1e-12)  # descending
-        assert np.all(s >= 0)
-
-    def test_zero_matrix(self):
-        u, s, v = nm.svd_small(np.zeros((3, 2), dtype=complex))
-        assert np.all(s == 0)
-        assert np.max(np.abs(u.conj().T @ u - np.eye(3))) < 1e-12
-        assert np.max(np.abs(v.conj().T @ v - np.eye(2))) < 1e-12
-
-    def test_sweep_cap_surfaces_as_error(self):
-        rng = np.random.default_rng(19)
-        a = random_complex(rng, 4, 4)
-        with pytest.raises(nm.SvdConvergenceError):
-            nm.svd_small(a, max_sweeps=0)

@@ -209,6 +209,18 @@ class TestKnuthShuffle:
         with pytest.raises(ValueError):
             knuth_shuffle(0, seed=1)
 
+    def test_rejects_n_beyond_16_bit_range_without_drawing(self, monkeypatch):
+        # above 2^16 no LFSR word passes the rejection test, so the draw
+        # loop would never end; the size check must fire before any draw
+        import cs_sounding.sounding as snd
+
+        def no_draws(seed):
+            raise AssertionError("the LFSR was started")
+
+        monkeypatch.setattr(snd, "Lfsr16", no_draws)
+        with pytest.raises(ValueError, match="65536"):
+            knuth_shuffle(2**16 + 1, seed=1)
+
     def test_uniformity_chi_square(self):
         # every element lands in every position with frequency 1/8 +- 3 sigma
         n = 8

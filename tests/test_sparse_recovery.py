@@ -176,12 +176,6 @@ class TestCosamp:
         with pytest.raises(DegenerateSupport):
             cosamp(phi, y, RecoveryConfig(kappa=2))
 
-    def test_resolve_after_prune_variant(self):
-        rng = np.random.default_rng(4)
-        phi, x0, y = planted_instance(rng, 256, 32, 8)
-        res = cosamp(phi, y, RecoveryConfig(kappa=8, resolve_after_prune=True))
-        assert np.linalg.norm(res.x_hat - x0) / np.linalg.norm(x0) < 1e-6
-
     def test_oracle_equivalence_on_true_support(self):
         rng = np.random.default_rng(5)
         phi, x0, y = planted_instance(rng, 256, 32, 8)
