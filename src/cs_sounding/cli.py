@@ -23,7 +23,7 @@ from . import numerics
 from . import pipeline
 from . import sounding as snd
 from .config import ConfigError, load_config, validate_config
-from .sparse_recovery import DegenerateSupport, InsufficientMeasurements
+from .sparse_recovery import DegenerateSupport, InsufficientMeasurements, MeasurementOperator
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -244,6 +244,14 @@ def _selfcheck_checks(corrupt_p: bool):
         return (all(len(s) == 13 for s in sets) and len(union) == 52
                 and sum(len(s) for s in sets) == 52)
 
+    def check_operator_columns():
+        rows = np.random.default_rng(11).choice(32 * 4, 40, replace=False)
+        op = MeasurementOperator.from_kron_rows(32, 4, rows)
+        dense = np.vstack([numerics.kron_row((32, 4), int(r)) for r in rows])
+        x = np.exp(1j * np.arange(128.0))
+        return (np.max(np.abs(op.columns(np.arange(128)) - dense)) < 1e-12
+                and np.max(np.abs(op.matvec(x) - dense @ x)) < 1e-12)
+
     def check_unitary_transform():
         f = numerics.dft_matrix(16)
         return float(np.max(np.abs(f.conj().T @ f - np.eye(16)))) < 1e-12
@@ -255,6 +263,7 @@ def _selfcheck_checks(corrupt_p: bool):
         ("angle_bits_table", check_angle_bits_table),
         ("allocation_partition", check_allocation_partition),
         ("dft_unitarity", check_unitary_transform),
+        ("operator_columns", check_operator_columns),
     ]
 
 

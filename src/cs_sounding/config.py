@@ -133,9 +133,9 @@ def _build_section(cls, data, label: str, errors: list[str]):
             f"{label}: unknown keys {sorted(unknown)} (expected {sorted(known)})"
         )
     kwargs = {k: v for k, v in data.items() if k in known}
-    if "usable_tones" in kwargs and kwargs["usable_tones"] is not None:
-        kwargs["usable_tones"] = tuple(int(t) for t in kwargs["usable_tones"])
     try:
+        if kwargs.get("usable_tones") is not None:
+            kwargs["usable_tones"] = tuple(kwargs["usable_tones"])
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         errors.append(f"{label}: {exc}")
@@ -210,10 +210,10 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     if dims_ok:
         n_usable = d.n_dft if s.usable_tones is None else len(set(s.usable_tones))
         if s.usable_tones is not None:
-            bad = [t for t in s.usable_tones if not 0 <= t < d.n_dft]
+            bad = [t for t in s.usable_tones if not (_is(t, int) and 0 <= t < d.n_dft)]
             if bad:
                 errors.append(
-                    f"sounding.usable_tones: indices {bad} outside [0, {d.n_dft})"
+                    f"sounding.usable_tones: indices {bad} are not integers in [0, {d.n_dft})"
                 )
             elif n_usable < d.n_t:
                 errors.append(

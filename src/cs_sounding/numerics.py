@@ -4,9 +4,9 @@ Unitary FFTs (numpy's, norm="ortho"), explicit DFT matrices and single
 rows of the tone-by-space Kronecker transform (an independent reference
 path for the FFTs), and the normal-equation least squares used inside the
 greedy recovery solvers: a LAPACK Cholesky factorization with a rank
-tolerance on its pivots, then two triangular solves. All transforms use
-the unitary convention (1/sqrt(N) on both directions), so Parseval holds
-and Kronecker rows are unit norm.
+tolerance on its pivots, then one solve of the Gram system. All transforms
+use the unitary convention (1/sqrt(N) on both directions), so Parseval
+holds and Kronecker rows are unit norm.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def dft_row(n: int, k: int) -> np.ndarray:
     """Row k of dft_matrix(n), computed without building the full matrix.
 
     Bit-identical to dft_matrix(n)[k] (same integer products, same float
-    expression), which row-sampled operators rely on for reproducibility.
+    expression), so kron_row reproduces the explicit matrices exactly.
     """
     if not 0 <= k < n:
         raise IndexError(f"row {k} out of range for size {n}")
@@ -97,8 +97,8 @@ def ifft2d(h: np.ndarray) -> np.ndarray:
 def kron_row(model_dims: tuple[int, int], row_index: int) -> np.ndarray:
     """One row of kron(F_a, F_b) for unitary DFT factors of sizes (a, b).
 
-    Row k*b + s has entry F_a[k, n] * F_b[s, v] at column n*b + v. The full
-    (a*b) x (a*b) matrix is never materialized.
+    Row k*b + s has entry F_a[k, n] * F_b[s, v] at column n*b + v. Built from
+    explicit DFT rows: the reference the FFT-based operator is checked against.
     """
     a, b = model_dims
     total = a * b
@@ -137,9 +137,9 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solution of phi_t @ b ~= y via the normal equations.
 
-    Forms the Gram matrix, factorizes it with `cholesky`, and solves the
-    two triangular systems. Never builds an explicit pseudo-inverse.
-    Propagates NotPositiveDefinite for rank-deficient column sets.
+    Forms the Gram matrix, checks its rank with `cholesky` (propagating
+    NotPositiveDefinite for rank-deficient column sets), and solves it with
+    one LAPACK solve. Never builds an explicit pseudo-inverse.
     """
     phi_t = np.asarray(phi_t, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
@@ -152,6 +152,5 @@ def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
             f"underdetermined system: {phi_t.shape[1]} columns > {phi_t.shape[0]} rows"
         )
     gram = phi_t.conj().T @ phi_t
-    rhs = phi_t.conj().T @ y
-    low = cholesky(gram)
-    return np.linalg.solve(low.conj().T, np.linalg.solve(low, rhs))
+    cholesky(gram)
+    return np.linalg.solve(gram, phi_t.conj().T @ y)

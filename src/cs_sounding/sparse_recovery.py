@@ -1,10 +1,10 @@
 """Greedy sparse recovery: CoSaMP and OMP over row-sampled operators.
 
-The solvers work on a MeasurementOperator that either wraps an explicit
-dense matrix (tests, small problems) or a set of rows of the tone-by-space
-Kronecker DFT transform addressed purely by row index. The restricted
-least-squares step goes through the Gram matrix and a Cholesky
-factorization with two triangular solves, and every solver run carries an
+The solvers work on a MeasurementOperator: a set of rows of the
+tone-by-space Kronecker DFT transform, addressed by row index and applied
+through FFTs without ever storing the matrix. The restricted
+least-squares step goes through the Gram matrix, a Cholesky rank check
+and one solve of the Gram system, and every solver run carries an
 instrumented complex multiply-accumulate tally.
 """
 
@@ -65,61 +65,53 @@ class _MacTally:
 
 
 class MeasurementOperator:
-    """Row-sampled sensing operator.
+    """Rows `row_indices` of the unitary kron(F_n_dft, F_n_s) transform.
 
-    Either an explicit dense matrix, or `row_indices` into the implicit
-    kron(F_n_dft, F_n_s) system; implicit rows are materialized through
-    numerics.kron_row so each row is bit-reproducible from its index.
+    Row k*n_s + s, column n*n_s + v holds F_n_dft[k, n] * F_n_s[s, v], as in
+    numerics.kron_row. The matrix is never materialized: matvec is a 2-D FFT
+    of the (n_dft, n_s) grid followed by a gather of the selected rows,
+    rmatvec scatters into that grid and applies the inverse 2-D FFT, and
+    columns evaluates entries in closed form from root-of-unity tables.
     """
 
-    def __init__(self, matrix: np.ndarray, kron_dims=None, row_indices=None):
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        if matrix.ndim != 2:
-            raise ValueError("operator matrix must be 2-D")
-        if matrix.shape[0] > matrix.shape[1]:
-            raise ValueError(
-                f"operator has more rows than columns: {matrix.shape}"
-            )
-        self._matrix = matrix
-        self.kron_dims = kron_dims
-        self.row_indices = None if row_indices is None else np.asarray(row_indices, dtype=np.intp)
-
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "MeasurementOperator":
-        return cls(matrix)
+    def __init__(self, n_dft: int, n_s: int, row_indices):
+        rows = np.asarray(row_indices, dtype=np.intp)
+        if (rows.ndim != 1 or np.unique(rows).size != rows.size
+                or np.any((rows < 0) | (rows >= n_dft * n_s))):
+            raise ValueError(f"kron row indices must be 1-D, unique and in "
+                             f"[0, {n_dft * n_s}) for dims ({n_dft}, {n_s})")
+        self.dims = (n_dft, n_s)
+        self.row_indices = rows
+        self._tone, self._space = np.divmod(rows, n_s)
+        # F_n[k, m] == F_n[1, (k*m) mod n]; for n == 1 the table is row 0.
+        self._roots_dft, self._roots_s = (numerics.dft_row(n, 1 % n) for n in self.dims)
 
     @classmethod
     def from_kron_rows(cls, n_dft: int, n_s: int, row_indices) -> "MeasurementOperator":
-        rows = np.asarray(row_indices, dtype=np.intp)
-        if len(np.unique(rows)) != rows.size:
-            raise ValueError("kron row indices must be unique")
-        matrix = np.vstack([numerics.kron_row((n_dft, n_s), int(i)) for i in rows])
-        return cls(matrix, kron_dims=(n_dft, n_s), row_indices=rows)
+        return cls(n_dft, n_s, row_indices)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._matrix.shape
-
-    @property
-    def n_rows(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self._matrix.shape[1]
+        return self.row_indices.size, math.prod(self.dims)
 
     def row(self, i: int) -> np.ndarray:
-        return self._matrix[i]
+        """Row i built independently by numerics.kron_row (test oracle)."""
+        return numerics.kron_row(self.dims, int(self.row_indices[i]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
+        return numerics.fft2d(np.reshape(x, self.dims)).ravel()[self.row_indices]
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """Adjoint application: Phi^H r."""
-        return self._matrix.conj().T @ r
+        grid = np.zeros(self.dims, dtype=np.complex128)
+        grid.flat[self.row_indices] = r
+        return numerics.ifft2d(grid).ravel()
 
     def columns(self, idx) -> np.ndarray:
-        return self._matrix[:, np.asarray(idx, dtype=np.intp)]
+        n_dft, n_s = self.dims
+        delay, space = np.divmod(np.asarray(idx, dtype=np.intp), n_s)
+        return (self._roots_dft[np.multiply.outer(self._tone, delay) % n_dft]
+                * self._roots_s[np.multiply.outer(self._space, space) % n_s])
 
 
 def support_select(u: np.ndarray, count: int) -> np.ndarray:
@@ -149,13 +141,12 @@ def mac_model(n: int, n_kappa: int, kappa: int) -> int:
 def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray,
                       y: np.ndarray, macs: _MacTally) -> np.ndarray:
     """Least squares of y on the columns in t_set, with MAC accounting."""
-    m = t_set.size
-    n_kappa = phi.n_rows
     cols = phi.columns(t_set)
+    n_kappa, m = cols.shape
     macs.add(n_kappa * m * m)        # Gram matrix
     macs.add(n_kappa * m)            # right-hand side
     macs.add(math.ceil(m**3 / 3))    # Cholesky
-    macs.add(m * m)                  # two triangular solves
+    macs.add(m * m)                  # solve, booked as two triangular solves
     return numerics.solve_normal_equations(cols, y)
 
 

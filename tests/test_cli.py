@@ -105,15 +105,24 @@ class TestConfig:
         "recovery.kappa", "recovery.tau", "recovery.i_max",
         "sounding.seed", "sounding.n_kappa", "sounding.snr_db", "sounding.threshold_db",
         "feedback.quant_bits", "feedback.n_tones", "feedback.ltf_duration_us",
-        "trials", "master_seed",
+        "trials", "master_seed", "sounding.usable_tones",
     ])
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_rejected_in_numeric_field(self, field, flag):
         data = json.loads(json.dumps(TINY_CONFIG))
         *section, key = field.split(".")
-        (data[section[0]] if section else data)[key] = flag
+        value = [flag, 5, 7, 9] if key == "usable_tones" else flag
+        (data[section[0]] if section else data)[key] = value
         with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
             validate_config(config_from_dict(data))
+
+    def test_fractional_usable_tone_rejected(self, tmp_path, capsys):
+        sounding = dict(TINY_CONFIG["sounding"], usable_tones=[1, 2.9, 5, 7, 9])
+        rc = main(["simulate", "--config",
+                   write_config(tmp_path, dict(TINY_CONFIG, sounding=sounding)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sounding.usable_tones" in capsys.readouterr().err
 
     def test_more_estimates_than_the_shuffle_can_permute(self, tmp_path, capsys):
         # 32768 tones x 4 rx = 131072 estimates > 2^16
@@ -263,7 +272,7 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         for name in ("p_matrix_orthogonality", "kron_path_consistency",
                      "givens_roundtrip", "angle_bits_table",
-                     "allocation_partition"):
+                     "allocation_partition", "operator_columns"):
             assert f"{name}: ok" in out
 
     def test_corrupted_p_matrix_fails(self, capsys):
