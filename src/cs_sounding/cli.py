@@ -252,6 +252,13 @@ def _selfcheck_checks(corrupt_p: bool):
         return (np.max(np.abs(op.columns(np.arange(128)) - dense)) < 1e-12
                 and np.max(np.abs(op.matvec(x) - dense @ x)) < 1e-12)
 
+    def check_operator_gram():
+        rng = np.random.default_rng(12)
+        op = MeasurementOperator.from_kron_rows(32, 4, rng.choice(32 * 4, 40, replace=False))
+        idx = rng.choice(32 * 4, 60, replace=False)
+        cols = op.columns(idx)
+        return np.max(np.abs(op.gram(idx) - cols.conj().T @ cols)) < 1e-12
+
     def check_unitary_transform():
         f = numerics.dft_matrix(16)
         return float(np.max(np.abs(f.conj().T @ f - np.eye(16)))) < 1e-12
@@ -264,6 +271,7 @@ def _selfcheck_checks(corrupt_p: bool):
         ("allocation_partition", check_allocation_partition),
         ("dft_unitarity", check_unitary_transform),
         ("operator_columns", check_operator_columns),
+        ("operator_gram", check_operator_gram),
     ]
 
 

@@ -2,11 +2,13 @@
 
 Unitary FFTs (numpy's, norm="ortho"), explicit DFT matrices and single
 rows of the tone-by-space Kronecker transform (an independent reference
-path for the FFTs), and the normal-equation least squares used inside the
-greedy recovery solvers: a LAPACK Cholesky factorization with a rank
-tolerance on its pivots, then one solve of the Gram system. All transforms
-use the unitary convention (1/sqrt(N) on both directions), so Parseval
-holds and Kronecker rows are unit norm.
+path for the FFTs), and the least squares used inside the greedy recovery
+solvers: `solve_gram` takes a Gram matrix and right-hand side, checks the
+rank with a LAPACK Cholesky factorization and a tolerance on its pivots,
+then does one solve of the Gram system; `solve_normal_equations` gets the
+Gram system of a column block, explicit or implicit, and hands it to
+`solve_gram`. All transforms use the unitary convention (1/sqrt(N) on
+both directions), so Parseval holds and Kronecker rows are unit norm.
 """
 
 from __future__ import annotations
@@ -134,16 +136,35 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return low
 
 
-def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
+def solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve gram @ b == rhs for a Hermitian positive definite Gram matrix.
+
+    Checks the rank with `cholesky` first, so a rank-deficient column set
+    raises NotPositiveDefinite, then solves with one LAPACK solve.
+    """
+    gram = np.asarray(gram, dtype=np.complex128)
+    rhs = np.asarray(rhs, dtype=np.complex128)
+    if gram.ndim != 2 or gram.shape != (rhs.shape[0],) * 2:
+        raise ValueError(f"shape mismatch: gram {gram.shape} vs rhs {rhs.shape}")
+    cholesky(gram)
+    return np.linalg.solve(gram, rhs)
+
+
+def solve_normal_equations(phi_t, y: np.ndarray) -> np.ndarray:
     """Least-squares solution of phi_t @ b ~= y via the normal equations.
 
-    Forms the Gram matrix, checks its rank with `cholesky` (propagating
-    NotPositiveDefinite for rank-deficient column sets), and solves it with
-    one LAPACK solve. Never builds an explicit pseudo-inverse.
+    phi_t is an explicit matrix, or an implicit one that has `shape` and
+    forms its own normal equations: `normal_equations(y)` returns
+    (phi_t^H phi_t, phi_t^H y) without building phi_t (the recovery solvers
+    pass columns of a MeasurementOperator this way). Either way solve_gram
+    solves them, so rank-deficient column sets raise NotPositiveDefinite.
+    Never builds an explicit pseudo-inverse.
     """
-    phi_t = np.asarray(phi_t, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    if phi_t.ndim != 2 or phi_t.shape[0] != y.shape[0]:
+    implicit = hasattr(phi_t, "normal_equations")
+    if not implicit:
+        phi_t = np.asarray(phi_t, dtype=np.complex128)
+        y = np.asarray(y, dtype=np.complex128)
+    if len(phi_t.shape) != 2 or phi_t.shape[0] != y.shape[0]:
         raise ValueError(
             f"shape mismatch: phi_t {phi_t.shape} vs y {y.shape}"
         )
@@ -151,6 +172,7 @@ def solve_normal_equations(phi_t: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"underdetermined system: {phi_t.shape[1]} columns > {phi_t.shape[0]} rows"
         )
-    gram = phi_t.conj().T @ phi_t
-    cholesky(gram)
-    return np.linalg.solve(gram, phi_t.conj().T @ y)
+    if implicit:
+        return solve_gram(*phi_t.normal_equations(y))
+    phi_h = phi_t.conj().T
+    return solve_gram(phi_h @ phi_t, phi_h @ y)

@@ -10,6 +10,7 @@ can regenerate the allocation from the shared 16-bit seed alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -163,14 +164,28 @@ class Lfsr16:
 
     def step(self) -> int:
         s = self.state
-        bit = (s ^ (s >> 2) ^ (s >> 3) ^ (s >> 5)) & 1
-        self.state = (s >> 1) | (bit << 15)
+        self.state = _lfsr_shift(s)
         return s & 1
 
     def next_word(self) -> int:
-        for _ in range(LFSR_STATE_BITS):
-            self.step()
+        self.state = _lfsr_word_table()[self.state]
         return self.state
+
+
+def _lfsr_shift(s):
+    """One LFSR shift of a state, an int or an integer array of states."""
+    bit = (s ^ (s >> 2) ^ (s >> 3) ^ (s >> 5)) & 1
+    return (s >> 1) | (bit << 15)
+
+
+@functools.cache
+def _lfsr_word_table() -> memoryview:
+    """Read-only uint16 table: the LFSR state after 16 step() calls, for
+    every 16-bit state, built once per process with vectorized shifts."""
+    s = np.arange(2**LFSR_STATE_BITS, dtype=np.uint32)
+    for _ in range(LFSR_STATE_BITS):
+        s = _lfsr_shift(s)
+    return memoryview(s.astype(np.uint16).tobytes()).cast("H")
 
 
 def lfsr_stream(seed: int, count: int) -> list[int]:

@@ -2,10 +2,15 @@
 
 The solvers work on a MeasurementOperator: a set of rows of the
 tone-by-space Kronecker DFT transform, addressed by row index and applied
-through FFTs without ever storing the matrix. The restricted
-least-squares step goes through the Gram matrix, a Cholesky rank check
-and one solve of the Gram system, and every solver run carries an
-instrumented complex multiply-accumulate tally.
+through FFTs without ever storing the matrix. Because the rows are a mask
+on a 2-D DFT, the inner product of two columns depends only on their
+delay and space differences, so the operator keeps one Gram table (the
+2-D DFT of the mask) and the restricted least squares gathers its Gram
+matrix from it: the solvers never form a column block. Each least-squares
+step hands numerics.solve_normal_equations that Gram matrix and the
+precomputed Phi^H y (a Cholesky rank check, then one solve), and every
+solver run carries a complex multiply-accumulate tally of the textbook
+dense-Gram cost.
 """
 
 from __future__ import annotations
@@ -55,6 +60,10 @@ class SparseRecoveryResult:
 
 
 class _MacTally:
+    """Complex MACs of the textbook CoSaMP/OMP iteration (the cost model of
+    mac_model: dense proxy, explicit Gram matrix, Cholesky, residual), not
+    the work this implementation does through FFTs and the Gram table."""
+
     __slots__ = ("count",)
 
     def __init__(self):
@@ -72,6 +81,11 @@ class MeasurementOperator:
     of the (n_dft, n_s) grid followed by a gather of the selected rows,
     rmatvec scatters into that grid and applies the inverse 2-D FFT, and
     columns evaluates entries in closed form from root-of-unity tables.
+
+    gram(T) == columns(T)^H columns(T) is gathered from a table computed
+    once: entry (i, j) is g[(n_j - n_i) mod n_dft, (v_j - v_i) mod n_s] for
+    columns i = n_i*n_s + v_i, where g is the unitary 2-D DFT of the row
+    mask divided by sqrt(n_dft*n_s).
     """
 
     def __init__(self, n_dft: int, n_s: int, row_indices):
@@ -85,6 +99,13 @@ class MeasurementOperator:
         self._tone, self._space = np.divmod(rows, n_s)
         # F_n[k, m] == F_n[1, (k*m) mod n]; for n == 1 the table is row 0.
         self._roots_dft, self._roots_s = (numerics.dft_row(n, 1 % n) for n in self.dims)
+        mask = np.zeros(self.dims)
+        mask.flat[rows] = 1.0
+        # Tiled twice along each axis, so a column pair's cell is the plain
+        # difference of their grid coordinates plus a fixed offset (no mod).
+        self._gram_table = np.tile(numerics.fft2d(mask) / math.sqrt(n_dft * n_s),
+                                   (2, 2)).ravel()
+        self._gram_offset = n_dft * 2 * n_s + n_s
 
     @classmethod
     def from_kron_rows(cls, n_dft: int, n_s: int, row_indices) -> "MeasurementOperator":
@@ -113,24 +134,38 @@ class MeasurementOperator:
         return (self._roots_dft[np.multiply.outer(self._tone, delay) % n_dft]
                 * self._roots_s[np.multiply.outer(self._space, space) % n_s])
 
+    def gram(self, idx) -> np.ndarray:
+        """columns(idx)^H columns(idx), gathered from the Gram table."""
+        idx = np.asarray(idx, dtype=np.intp)
+        coord = idx + idx // self.dims[1] * self.dims[1]  # delay*2*n_s + space
+        return self._gram_table.take((coord + self._gram_offset) - coord[:, None])
+
 
 def support_select(u: np.ndarray, count: int) -> np.ndarray:
     """Indices of the `count` largest-magnitude entries, sorted ascending.
 
-    Ties break toward the lowest index so results are reproducible.
+    Ties break toward the lowest index so results are reproducible: the
+    same set as the first `count` of a stable argsort of -|u|, found by a
+    partition instead of a full sort.
     """
-    u = np.asarray(u)
-    if count > u.shape[0]:
-        raise ValueError(f"count {count} exceeds vector length {u.shape[0]}")
-    order = np.argsort(-np.abs(u), kind="stable")
-    return np.sort(order[:count])
+    mags = np.abs(np.asarray(u))
+    n = mags.shape[0]
+    if not 0 <= count <= n:
+        raise ValueError(f"count {count} outside [0, {n}] for vector length {n}")
+    if count == 0:
+        return np.array([], dtype=np.intp)
+    cut = np.partition(mags, n - count)[n - count]  # count-th largest magnitude
+    above = np.flatnonzero(mags > cut)
+    ties = np.flatnonzero(mags == cut)[:count - above.size]
+    return np.sort(np.concatenate((above, ties)))
 
 
 def mac_model(n: int, n_kappa: int, kappa: int) -> int:
-    """Closed-form complex-MAC estimate for one CoSaMP iteration.
+    """Closed-form complex-MAC estimate for one textbook CoSaMP iteration.
 
     Proxy correlation N*N_kappa, residual update N_kappa*(2k), Gram matrix
-    N_kappa*(2k)^2, Cholesky (2k)^3.
+    N_kappa*(2k)^2, Cholesky (2k)^3: the dense-matrix cost model the solver
+    tally also books, not the FFT and Gram-table work done here.
     """
     if min(n, n_kappa, kappa) < 1:
         raise ValueError("n, n_kappa and kappa must all be positive")
@@ -138,37 +173,66 @@ def mac_model(n: int, n_kappa: int, kappa: int) -> int:
     return n * n_kappa + n_kappa * two_k + n_kappa * two_k**2 + two_k**3
 
 
-def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray,
-                      y: np.ndarray, macs: _MacTally) -> np.ndarray:
-    """Least squares of y on the columns in t_set, with MAC accounting."""
-    cols = phi.columns(t_set)
-    n_kappa, m = cols.shape
+class _ColumnSubset:
+    """Columns t_set of phi as the implicit matrix that
+    numerics.solve_normal_equations takes: its normal equations against the
+    measurement y are gathered from the operator's Gram table and from
+    phi_h_y = Phi^H y (computed once per solve), so no n_kappa x |t_set|
+    block is formed."""
+
+    __slots__ = ("phi", "t_set", "y", "phi_h_y")
+
+    def __init__(self, phi, t_set, y, phi_h_y):
+        self.phi, self.t_set, self.y, self.phi_h_y = phi, t_set, y, phi_h_y
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.phi.shape[0], self.t_set.size
+
+    def normal_equations(self, y):
+        if y is not self.y:
+            raise ValueError("the right-hand side is known only for the measurement y")
+        return self.phi.gram(self.t_set), self.phi_h_y[self.t_set]
+
+
+def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray, y: np.ndarray,
+                      phi_h_y: np.ndarray, macs: _MacTally) -> np.ndarray:
+    """Least squares of y on the columns in t_set, from the operator's Gram
+    table and phi_h_y = Phi^H y; books the dense-Gram cost of the step."""
+    n_kappa, m = phi.shape[0], t_set.size
     macs.add(n_kappa * m * m)        # Gram matrix
     macs.add(n_kappa * m)            # right-hand side
     macs.add(math.ceil(m**3 / 3))    # Cholesky
     macs.add(m * m)                  # solve, booked as two triangular solves
-    return numerics.solve_normal_equations(cols, y)
+    return numerics.solve_normal_equations(_ColumnSubset(phi, t_set, y, phi_h_y), y)
 
 
-def _cosamp_step(phi, y, proxy, support, kappa, macs):
+def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
     """Merged-support least squares with the halved-candidate retry, then
-    prune back to the kappa largest coefficients."""
+    prune back to the kappa largest coefficients.
+
+    A merged set with more columns than measurement rows is rank deficient
+    by construction and goes straight to the retry; after it the set holds
+    at most 2*kappa <= n_kappa columns.
+    """
+    last = None
     for n_cand in (2 * kappa, kappa):
         omega = support_select(proxy, min(n_cand, proxy.shape[0]))
         t_set = np.union1d(support, omega).astype(np.intp)
-        try:
-            b = _restricted_lstsq(phi, t_set, y, macs)
-            break
-        except NotPositiveDefinite as exc:
-            if n_cand == kappa:
-                raise DegenerateSupport(
-                    f"rank-deficient support of size {t_set.size} after retry"
-                ) from exc
+        if t_set.size <= phi.shape[0]:
+            try:
+                b = _restricted_lstsq(phi, t_set, y, phi_h_y, macs)
+                break
+            except NotPositiveDefinite as exc:
+                last = exc
+    else:
+        raise DegenerateSupport(
+            f"rank-deficient support of size {t_set.size} after retry") from last
     keep = support_select(b, min(kappa, t_set.size))
     return t_set[keep], b[keep]
 
 
-def _omp_step(phi, y, proxy, support, kappa, macs):
+def _omp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
     """Add the strongest unused atom (retrying once with the next one when
     the least squares is rank deficient); None when no atom correlates."""
     mags = np.abs(proxy)
@@ -182,7 +246,7 @@ def _omp_step(phi, y, proxy, support, kappa, macs):
             return None
         trial = np.union1d(support, [pick]).astype(np.intp)
         try:
-            return trial, _restricted_lstsq(phi, trial, y, macs)
+            return trial, _restricted_lstsq(phi, trial, y, phi_h_y, macs)
         except NotPositiveDefinite as exc:
             if attempt:
                 raise DegenerateSupport(
@@ -197,9 +261,10 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
 
     Each iteration correlates the residual against the operator, lets
     `step` pick the new support and its least-squares coefficients (or
-    None to keep the current estimate), and updates the residual. Stops
-    when the relative residual drops to cfg.tau, after cfg.i_max
-    iterations, or (stop_at_kappa) once the support holds cfg.kappa atoms.
+    None to keep the current estimate), and updates the residual as
+    y - Phi x_hat. Stops when the relative residual drops to cfg.tau,
+    after cfg.i_max iterations, or (stop_at_kappa) once the support holds
+    cfg.kappa atoms.
     """
     n_kappa, n = phi.shape
     if 2 * cfg.kappa > n_kappa:
@@ -216,18 +281,20 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True)
 
     macs = _MacTally()
-    r = y.copy()
+    r = y
+    proxy = phi_h_y = phi.rmatvec(y)  # the first residual is y itself
     rel = 1.0
     history: list[float] = []
     while len(history) < cfg.i_max and rel > cfg.tau:
-        proxy = phi.rmatvec(r)
+        if history:
+            proxy = phi.rmatvec(r)
         macs.add(n * n_kappa)
-        picked = step(phi, y, proxy, support, cfg.kappa, macs)
+        picked = step(phi, y, phi_h_y, proxy, support, cfg.kappa, macs)
         if picked is not None:
             support, b = picked
             x_hat = np.zeros(n, dtype=np.complex128)
             x_hat[support] = b
-            r = y - phi.columns(support) @ b
+            r = y - phi.matvec(x_hat)
             macs.add(n_kappa * support.size)
             rel = float(np.linalg.norm(r)) / y_norm
         history.append(rel)

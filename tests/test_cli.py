@@ -198,6 +198,17 @@ class TestSimulateCommand:
         assert result["recovery"]["iterations"] <= 50
         assert result["kappa_realized"] <= 50
 
+    def test_n_kappa_at_twice_kappa(self, tmp_path):
+        # CoSaMP's merged support can exceed 2*kappa = n_kappa columns here
+        import pathlib
+        cfg_path = pathlib.Path(__file__).parent.parent / "configs" / "model_4x2.yaml"
+        data = yaml.safe_load(cfg_path.read_text())
+        data["sounding"]["n_kappa"] = 2 * data["recovery"]["kappa"]
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", write_config(tmp_path, data), "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "result.json").read_text())["recovery"]["iterations"] >= 1
+
 
 class TestSweepCommand:
     def test_rows_and_header(self, tmp_path):
@@ -272,7 +283,7 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         for name in ("p_matrix_orthogonality", "kron_path_consistency",
                      "givens_roundtrip", "angle_bits_table",
-                     "allocation_partition", "operator_columns"):
+                     "allocation_partition", "operator_columns", "operator_gram"):
             assert f"{name}: ok" in out
 
     def test_corrupted_p_matrix_fails(self, capsys):

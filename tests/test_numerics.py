@@ -223,3 +223,51 @@ class TestSolveNormalEquations:
         with pytest.raises(ValueError):
             nm.solve_normal_equations(np.ones((2, 4), dtype=complex), np.ones(2))
 
+    def test_implicit_block_matches_explicit(self):
+        rng = np.random.default_rng(18)
+        phi = random_complex(rng, 12, 5)
+        y = random_complex(rng, 12)
+        np.testing.assert_allclose(nm.solve_normal_equations(ImplicitBlock(phi), y),
+                                   nm.solve_normal_equations(phi, y), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, n_y", [((2, 4), 2), ((6, 2), 5)])
+    def test_implicit_block_checked_like_explicit(self, shape, n_y):
+        with pytest.raises(ValueError):
+            nm.solve_normal_equations(ImplicitBlock(np.ones(shape, dtype=complex)),
+                                      np.ones(n_y, dtype=complex))
+
+    def test_implicit_rank_deficient_propagates(self):
+        phi = ImplicitBlock(np.ones((6, 2), dtype=complex))  # duplicated column
+        with pytest.raises(NotPositiveDefinite):
+            nm.solve_normal_equations(phi, np.ones(6, dtype=complex))
+
+
+class ImplicitBlock:
+    """A column block that only hands out its normal equations."""
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self.shape = matrix.shape
+
+    def normal_equations(self, y):
+        phi_h = self._matrix.conj().T
+        return phi_h @ self._matrix, phi_h @ y
+
+
+
+class TestSolveGram:
+    def test_matches_solve_normal_equations(self):
+        rng = np.random.default_rng(17)
+        phi = random_complex(rng, 12, 5)
+        y = random_complex(rng, 12)
+        b = nm.solve_gram(phi.conj().T @ phi, phi.conj().T @ y)
+        np.testing.assert_allclose(b, nm.solve_normal_equations(phi, y), rtol=0, atol=1e-12)
+
+    def test_rank_deficient_raises(self):
+        phi = np.ones((6, 2), dtype=complex)  # duplicated column
+        with pytest.raises(NotPositiveDefinite):
+            nm.solve_gram(phi.conj().T @ phi, phi.conj().T @ np.ones(6))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            nm.solve_gram(np.eye(3), np.ones(2))

@@ -12,6 +12,7 @@ from cs_sounding.sounding import (
     Lfsr16,
     LtfSequence,
     UnsupportedDimension,
+    _lfsr_word_table,
     allocate_ltf,
     estimate_conventional,
     knuth_shuffle,
@@ -188,6 +189,15 @@ class TestLfsr:
 
     def test_words_in_range(self):
         assert all(1 <= w <= 0xFFFF for w in lfsr_stream(99, 1000))
+
+    def test_word_table_is_sixteen_steps_from_every_state(self):
+        table = _lfsr_word_table()
+        gen = Lfsr16(1)
+        for state in range(2**16):
+            gen.state = state
+            for _ in range(16):
+                gen.step()
+            assert table[state] == gen.state, state
 
 
 class TestKnuthShuffle:

@@ -16,6 +16,8 @@ from cs_sounding.sparse_recovery import (
     omp,
     support_select,
 )
+from cs_sounding.sparse_recovery import _ColumnSubset
+from cs_sounding.numerics import NotPositiveDefinite
 
 
 def random_complex(rng, *shape):
@@ -42,6 +44,10 @@ class DenseOperator:
 
     def columns(self, idx):
         return self.matrix[:, idx]
+
+    def gram(self, idx):
+        cols = self.columns(idx)
+        return cols.conj().T @ cols
 
 
 def planted_instance(rng, n, n_kappa, kappa, kron_dims=None):
@@ -84,6 +90,20 @@ class TestSupportSelect:
     def test_count_too_large(self):
         with pytest.raises(ValueError):
             support_select(np.ones(3), 4)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            support_select(np.ones(3), -1)
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ties_match_stable_argsort(self, mags, data):
+        # small-integer magnitudes force ties at the cut
+        u = np.array(mags, dtype=float) * np.exp(1j * np.arange(len(mags)))
+        count = data.draw(st.integers(min_value=0, max_value=len(mags)))
+        want = np.sort(np.argsort(-np.abs(u), kind="stable")[:count])
+        np.testing.assert_array_equal(support_select(u, count), want)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -148,6 +168,16 @@ class TestMeasurementOperator:
                           (phi.rmatvec(r), dense.rmatvec(r)),
                           (phi.columns(idx), dense.columns(idx))):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+    @given(kron_operators(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_gram_matches_columns(self, case, data):
+        phi, rng = case
+        n_cols = phi.shape[1]
+        idx = rng.choice(n_cols, data.draw(st.integers(1, n_cols)), replace=False)
+        cols = phi.columns(idx)
+        np.testing.assert_allclose(phi.gram(idx), cols.conj().T @ cols, rtol=0, atol=1e-12)
 
 
 class TestRecoveryConfig:
@@ -228,6 +258,15 @@ class TestCosamp:
         with pytest.raises(DegenerateSupport):
             cosamp(phi, y, RecoveryConfig(kappa=2))
 
+    def test_degenerate_support_keeps_the_rank_error(self):
+        c = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
+        d = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+        e = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+        phi = DenseOperator(np.stack([c, c, d, e], axis=1))
+        with pytest.raises(DegenerateSupport) as info:
+            cosamp(phi, c + 0.1 * d, RecoveryConfig(kappa=2))
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
     def test_oracle_equivalence_on_true_support(self):
         rng = np.random.default_rng(5)
         phi, x0, y = planted_instance(rng, 256, 32, 8)
@@ -250,6 +289,16 @@ class TestCosamp:
                 good += 1
         assert good >= 95
 
+    def test_merged_support_beyond_rows_takes_retry(self):
+        # n_kappa == 2*kappa: the 2*kappa candidates merged with a kappa
+        # support exceed the rows, so the halved-candidate set is solved
+        rng = np.random.default_rng(10)
+        phi, x0, y = planted_instance(rng, 256, 16, 8)
+        res = cosamp(phi, y, RecoveryConfig(kappa=8, i_max=10))
+        assert 1 <= res.iterations <= 10
+        assert res.support.size <= 8
+        assert np.all(np.isfinite(res.x_hat))
+
     def test_iterations_capped(self):
         rng = np.random.default_rng(6)
         phi = DenseOperator(random_complex(rng, 16, 64) / 4)
@@ -257,6 +306,43 @@ class TestCosamp:
         res = cosamp(phi, y, RecoveryConfig(kappa=2, tau=1e-9, i_max=7))
         assert res.iterations <= 7
         assert not res.converged
+
+
+class TestLeastSquaresPath:
+    @pytest.mark.parametrize("solver", [cosamp, omp])
+    def test_no_column_block_is_formed(self, solver, monkeypatch):
+        # every least squares goes through solve_normal_equations with an
+        # implicit block whose normal equations come from the Gram table
+        def no_columns(self, idx):
+            raise AssertionError("the solver evaluated a column block")
+
+        widths = []
+        solve = nm.solve_normal_equations
+
+        def spy(phi_t, y):
+            assert not isinstance(phi_t, np.ndarray)
+            widths.append(phi_t.shape[1])
+            return solve(phi_t, y)
+
+        monkeypatch.setattr(MeasurementOperator, "columns", no_columns)
+        monkeypatch.setattr(nm, "solve_normal_equations", spy)
+        rng = np.random.default_rng(11)
+        phi, x0, y = planted_instance(rng, 64, 32, 4, kron_dims=(16, 4))
+        res = solver(phi, y, RecoveryConfig(kappa=4))
+        assert res.converged
+        assert len(widths) >= res.iterations
+        np.testing.assert_allclose(res.x_hat, x0, rtol=0, atol=1e-9)
+
+    def test_right_hand_side_only_for_the_measurement(self):
+        phi = first_dft_rows(16, 8)
+        y = np.ones(8, dtype=complex)
+        block = _ColumnSubset(phi, np.array([0, 3]), y, phi.rmatvec(y))
+        gram, rhs = block.normal_equations(y)
+        cols = phi.columns([0, 3])
+        np.testing.assert_allclose(gram, cols.conj().T @ cols, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rhs, cols.conj().T @ y, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            block.normal_equations(y.copy())
 
 
 class TestOmp:
