@@ -1,8 +1,9 @@
 """Regression oracle: the shipped configs against a committed reference.
 
-`reference_trials.json` holds, for the first 20 trials of three cases
-(threshold_4x2 with CoSaMP, model_4x2 with CoSaMP, model_4x2 with OMP),
-the exact solver outcome and the error figures. Numerical refactors must
+`reference_trials.json` holds, for the first 20 trials of four cases
+(threshold_4x2 with CoSaMP, model_4x2 with CoSaMP, model_4x2 with OMP,
+and model_4x2 with OMP on noisy, boosted, 8-bit quantized sounding), the
+exact solver outcome and the error figures. Numerical refactors must
 reproduce it:
 
 - exactly: iterations, MAC count, converged flag, support size, kappa_used,
@@ -35,22 +36,30 @@ EXACT = ("iterations", "mac_count", "converged", "support_size",
          "kappa_used", "kappa_realized", "significant_support")
 CLOSE = ("mse", "threshold_floor")
 
-# case name -> (config file, recovery algorithm)
+# case name -> (config file, {section: {field: value}} overrides)
 CASES = {
-    "threshold_4x2": ("configs/threshold_4x2.yaml", "cosamp"),
-    "model_4x2": ("configs/model_4x2.yaml", "cosamp"),
-    "model_4x2_omp": ("configs/model_4x2.yaml", "omp"),
+    "threshold_4x2": ("configs/threshold_4x2.yaml", {}),
+    "model_4x2": ("configs/model_4x2.yaml", {}),
+    "model_4x2_omp": ("configs/model_4x2.yaml", {"recovery": {"algorithm": "omp"}}),
+    # The only case that draws noise: pins the noise stream and its order.
+    "model_4x2_noisy_omp": ("configs/model_4x2.yaml", {
+        "recovery": {"algorithm": "omp"},
+        "sounding": {"snr_db": 25, "power_mode": "boosted"},
+        "feedback": {"quant_bits": 8},
+    }),
 }
 
 
 def run_case(name: str) -> list[dict]:
     from cs_sounding import pipeline
-    from cs_sounding.config import load_config
+    from cs_sounding.config import load_config, validate_config
 
-    path, algorithm = CASES[name]
+    path, overrides = CASES[name]
     cfg, pdp = load_config(str(ROOT / path))
-    cfg = dataclasses.replace(
-        cfg, recovery=dataclasses.replace(cfg.recovery, algorithm=algorithm))
+    cfg = dataclasses.replace(cfg, **{
+        section: dataclasses.replace(getattr(cfg, section), **fields)
+        for section, fields in overrides.items()})
+    validate_config(cfg)
     records = []
     for trial in range(N_TRIALS):
         res = pipeline.run_experiment(cfg, pdp, trial)
