@@ -26,16 +26,6 @@ class TooManyMeasurementsRequested(ValueError):
 
 
 @dataclass(frozen=True)
-class ModelProvenance:
-    allocation_seed: int
-    subsample_seed: int
-    noise_seed: int
-    snr_db: float | None
-    quant_bits: int | None
-    power_mode: str
-
-
-@dataclass(frozen=True)
 class MeasurementModel:
     """Selected rows of the implicit kron(F_n_dft, F_n_s) system plus the
     measured (possibly noisy/quantized) values at those rows."""
@@ -45,7 +35,6 @@ class MeasurementModel:
     n_r: int
     selected_rows: np.ndarray
     y: np.ndarray
-    provenance: ModelProvenance
 
     @property
     def n_s(self) -> int:
@@ -134,7 +123,6 @@ def derive_trial_seeds(master_seed: int, allocation_seed: int, trial: int) -> Tr
 def build_measurement_model(h: chan.ChannelRealization, alloc: snd.LtfAllocation,
                             n_kappa: int, snr_db: float | None = None,
                             quant_bits: int | None = None, *,
-                            ltf: snd.LtfSequence | None = None,
                             power_mode: str = "uniform",
                             noise_seed: int = 0,
                             subsample_seed: int = 1) -> MeasurementModel:
@@ -144,33 +132,24 @@ def build_measurement_model(h: chan.ChannelRealization, alloc: snd.LtfAllocation
     k * n_s + (rx * n_t + tx). A second seeded shuffle picks which n_kappa
     of the available estimates are fed back.
     """
-    if ltf is None:
-        ltf = snd.LtfSequence.all_ones(h.n_dft)
     estimates = snd.punctured_sound_and_estimate(
-        h, alloc, ltf, snr_db, power_mode=power_mode, seed=noise_seed
+        h, alloc, snd.LtfSequence.all_ones(h.n_dft), snr_db,
+        power_mode=power_mode, seed=noise_seed,
     )
     if n_kappa > len(estimates):
         raise TooManyMeasurementsRequested(
             f"requested {n_kappa} measurements, sounding produced {len(estimates)}"
         )
-    n_s = h.n_s
-    rows = np.array([e.tone * n_s + (e.rx * h.n_t + e.tx) for e in estimates],
-                    dtype=np.intp)
-    values = np.array([e.value for e in estimates], dtype=np.complex128)
-    picked = snd.knuth_shuffle(len(estimates), subsample_seed)[:n_kappa]
-    rows, values = rows[picked], values[picked]
-    order = np.argsort(rows)
-    rows, values = rows[order], values[order]
+    # The estimates come in tone-then-rx order, so their rows rise strictly
+    # with the index: sorting the picked indices sorts the rows.
+    est = estimates[np.sort(snd.knuth_shuffle(len(estimates), subsample_seed)[:n_kappa])]
+    rows = est.tone * h.n_s + est.rx * h.n_t + est.tx
+    values = np.ascontiguousarray(est.value)
     if quant_bits is not None:
         values = fb.quantize_measurements(values, quant_bits).values
     return MeasurementModel(
         n_dft=h.n_dft, n_t=h.n_t, n_r=h.n_r,
         selected_rows=rows, y=values,
-        provenance=ModelProvenance(
-            allocation_seed=alloc.seed, subsample_seed=subsample_seed,
-            noise_seed=noise_seed, snr_db=snr_db, quant_bits=quant_bits,
-            power_mode=power_mode,
-        ),
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,19 +266,17 @@ def allocate_ltf(n_dft: int, n_t: int, seed: int,
     return LtfAllocation(n_dft, n_t, assignment, seed)
 
 
-PuncturedEstimate = namedtuple("PuncturedEstimate", ["tone", "tx", "rx", "value"])
-
-
 def punctured_sound_and_estimate(h: ChannelRealization, alloc: LtfAllocation,
                                  ltf: LtfSequence, snr_db: float | None,
                                  power_mode: str = "uniform",
-                                 seed: int = 0) -> list[PuncturedEstimate]:
+                                 seed: int = 0) -> np.recarray:
     """Sound each tone from its single allocated antenna and estimate.
 
     In "boosted" mode the whole transmit power rides on the one active
     antenna (gain n_t), so the estimate noise variance drops by n_t
-    compared to "uniform". Emits one estimate per (sounded tone, RX
-    antenna), ordered by tone then RX.
+    compared to "uniform". Returns one record per (sounded tone, RX
+    antenna), with fields tone, tx, rx and value, ordered by tone then RX.
+    Noise is drawn one sounded-tone vector per RX antenna, in RX order.
     """
     if power_mode not in ("uniform", "boosted"):
         raise ValueError(f"power_mode must be 'uniform' or 'boosted', got {power_mode!r}")
@@ -290,23 +287,19 @@ def punctured_sound_and_estimate(h: ChannelRealization, alloc: LtfAllocation,
     gain = math.sqrt(h.n_t) if power_mode == "boosted" else 1.0
     tones = alloc.sounded_tones
     txs = alloc.assignment[tones]
-    sym = ltf.symbols[tones]
-
-    out: list[PuncturedEstimate] = []
-    noisy = snr_db is not None and math.isfinite(snr_db)
-    rng = np.random.default_rng(seed) if noisy else None
-    for m in range(h.n_r):
-        true_vals = h.h_freq[tones, m * h.n_t + txs]
-        rx_vals = true_vals * sym * gain
-        if noisy:
-            rx_vals = rx_vals + _complex_noise(
-                rng, rx_vals.shape, noise_variance(snr_db, h.n_dft)
-            )
-        est = rx_vals / (sym * gain)
-        for i, k in enumerate(tones):
-            out.append(PuncturedEstimate(int(k), int(txs[i]), m, complex(est[i])))
-    out.sort(key=lambda e: (e.tone, e.rx))
-    return out
+    scale = ltf.symbols[tones] * gain
+    # rx_vals[i, m]: what RX antenna m receives on the i-th sounded tone
+    pairs = np.arange(h.n_r) * h.n_t + txs[:, None]
+    rx_vals = h.h_freq[tones[:, None], pairs] * scale[:, None]
+    if snr_db is not None and math.isfinite(snr_db):
+        rng = np.random.default_rng(seed)
+        var = noise_variance(snr_db, h.n_dft)
+        rx_vals = rx_vals + np.stack(
+            [_complex_noise(rng, tones.size, var) for _ in range(h.n_r)], axis=1)
+    return np.rec.fromarrays(
+        [np.repeat(tones, h.n_r), np.repeat(txs, h.n_r),
+         np.tile(np.arange(h.n_r), tones.size), (rx_vals / scale[:, None]).ravel()],
+        names="tone,tx,rx,value")
 
 
 def ndp_airtime(n_t: int, scheme: str, n_kappa: int | None = None,

@@ -138,7 +138,6 @@ class TestRecoverChannel:
         model = pl.MeasurementModel(
             n_dft=n_dft, n_t=4, n_r=2,
             selected_rows=rows, y=pl.vectorize_rowmajor(freq)[rows],
-            provenance=pl.ModelProvenance(1, 1, 0, None, None, "uniform"),
         )
         rec, res = pl.recover_channel(model, RecoveryConfig(kappa=kappa))
         assert np.linalg.norm(rec.h_2d - h_2d) / np.linalg.norm(h_2d) < 1e-6
