@@ -22,6 +22,12 @@ class DelaySpreadExceedsDft(ValueError):
     """Binned delay span does not fit inside the transform length."""
 
 
+def _finite(value, name: str) -> float:
+    if isinstance(value, bool) or not math.isfinite(float(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PdpSpec:
     """Power delay profile: (delay_ns, power_db) taps plus the sample period.
@@ -34,7 +40,7 @@ class PdpSpec:
     sample_period_ns: float = 50.0
 
     def __post_init__(self):
-        taps = tuple((float(d), float(p)) for d, p in self.taps)
+        taps = tuple((_finite(d, "delay_ns"), _finite(p, "power_db")) for d, p in self.taps)
         if not taps:
             raise ValueError("PDP needs at least one tap")
         delays = [d for d, _ in taps]
@@ -42,7 +48,9 @@ class PdpSpec:
             raise ValueError("tap delays must be non-negative")
         if any(b < a for a, b in zip(delays, delays[1:])):
             raise ValueError("tap delays must be ascending")
-        if self.sample_period_ns <= 0:
+        if any(abs(p) > 300 for _, p in taps):  # keeps the linear total finite, nonzero
+            raise ValueError("power_db must be within +/-300 dB")
+        if _finite(self.sample_period_ns, "sample_period_ns") <= 0:
             raise ValueError("sample_period_ns must be positive")
         total = sum(10.0 ** (p / 10.0) for _, p in taps)
         shift = 10.0 * math.log10(total)

@@ -74,7 +74,9 @@ def _apply_overrides(cfg, args):
 
 def _load(args):
     cfg, pdp = load_config(args.config)
-    return _apply_overrides(cfg, args), pdp
+    cfg = _apply_overrides(cfg, args)
+    validate_config(cfg, os.path.dirname(os.path.abspath(args.config)))
+    return cfg, pdp
 
 
 def cmd_simulate(args) -> int:

@@ -9,6 +9,7 @@ work starts.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
@@ -208,17 +209,17 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         )
     available = None  # estimates one sounding yields; only defined for valid dims
     if dims_ok:
-        n_usable = d.n_dft if s.usable_tones is None else len(set(s.usable_tones))
-        if s.usable_tones is not None:
-            bad = [t for t in s.usable_tones if not (_is(t, int) and 0 <= t < d.n_dft)]
-            if bad:
-                errors.append(
-                    f"sounding.usable_tones: indices {bad} are not integers in [0, {d.n_dft})"
-                )
-            elif n_usable < d.n_t:
-                errors.append(
-                    f"sounding.usable_tones: {n_usable} tones cannot cover {d.n_t} antennas"
-                )
+        bad = [t for t in s.usable_tones or () if not (_is(t, int) and 0 <= t < d.n_dft)]
+        # set() only once every element is known to be hashable
+        n_usable = d.n_dft if s.usable_tones is None or bad else len(set(s.usable_tones))
+        if bad:
+            errors.append(
+                f"sounding.usable_tones: indices {bad} are not integers in [0, {d.n_dft})"
+            )
+        elif n_usable < d.n_t:
+            errors.append(
+                f"sounding.usable_tones: {n_usable} tones cannot cover {d.n_t} antennas"
+            )
         available = n_usable * d.n_r
         if available > MAX_SHUFFLE_SIZE:
             errors.append(
@@ -236,8 +237,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             f"sounding.n_kappa: only {available} measurements available "
             f"({n_usable} tones x {d.n_r} rx), got {s.n_kappa!r}"
         )
-    if s.snr_db is not None and not _is(s.snr_db, (int, float)):
-        errors.append(f"sounding.snr_db: must be a number or null, got {s.snr_db!r}")
+    if s.snr_db is not None and not (_is(s.snr_db, (int, float)) and s.snr_db > -math.inf):
+        errors.append(f"sounding.snr_db: must be a number (not NaN or -inf) or null, got {s.snr_db!r}")
     if s.power_mode not in POWER_MODES:
         errors.append(
             f"sounding.power_mode: must be one of {list(POWER_MODES)}, got {s.power_mode!r}"
@@ -255,13 +256,21 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         errors.append(f"feedback.quant_bits: must be a positive integer or null, got {f.quant_bits!r}")
     if not _is(f.n_tones, int) or f.n_tones < 0:
         errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
-    if not _is(f.ltf_duration_us, (int, float)) or not f.ltf_duration_us > 0:
-        errors.append(f"feedback.ltf_duration_us: must be positive, got {f.ltf_duration_us!r}")
+    if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:
+        errors.append(f"feedback.ltf_duration_us: must be finite and positive, got {f.ltf_duration_us!r}")
 
     if not _is(cfg.trials, int) or cfg.trials < 1:
         errors.append(f"trials: must be a positive integer, got {cfg.trials!r}")
     if not _is(cfg.master_seed, int) or cfg.master_seed < 0:
         errors.append(f"master_seed: must be a non-negative integer, got {cfg.master_seed!r}")
+    if not isinstance(cfg.output, str) or not cfg.output:
+        errors.append(f"output: must be a directory path, got {cfg.output!r}")
+    else:
+        existing = os.path.abspath(cfg.output)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            errors.append(f"output: {existing!r} is a file, not a directory")
 
     if not errors:
         try:

@@ -100,6 +100,13 @@ def noise_variance(snr_db: float, n_dft: int) -> float:
     return 10.0 ** (-snr_db / 10.0) / n_dft
 
 
+def _noisy(snr_db: float | None) -> bool:
+    """None or +inf means noiseless, a finite SNR adds noise; NaN and -inf raise."""
+    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
+    return snr_db is not None and snr_db != math.inf
+
+
 def _complex_noise(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     scale = math.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -114,7 +121,8 @@ def receive_ltf(x: np.ndarray, h: ChannelRealization, snr_db: float | None,
                 seed: int = 0) -> np.ndarray:
     """Propagate the LTF symbols: Y_k = H_k @ X_k + noise.
 
-    Returns shape (n_dft, n_r, n_p). snr_db None or inf means noiseless.
+    Returns shape (n_dft, n_r, n_p). snr_db None or +inf means noiseless;
+    NaN and -inf raise ValueError.
     """
     x = np.asarray(x)
     if x.shape[0] != h.n_dft or x.shape[1] != h.n_t:
@@ -124,7 +132,7 @@ def receive_ltf(x: np.ndarray, h: ChannelRealization, snr_db: float | None,
         )
     h_k = h.h_freq.reshape(h.n_dft, h.n_r, h.n_t)
     y = np.einsum("krt,ktp->krp", h_k, x)
-    if snr_db is not None and math.isfinite(snr_db):
+    if _noisy(snr_db):
         rng = np.random.default_rng(seed)
         y = y + _complex_noise(rng, y.shape, noise_variance(snr_db, h.n_dft))
     return y
@@ -291,7 +299,7 @@ def punctured_sound_and_estimate(h: ChannelRealization, alloc: LtfAllocation,
     # rx_vals[i, m]: what RX antenna m receives on the i-th sounded tone
     pairs = np.arange(h.n_r) * h.n_t + txs[:, None]
     rx_vals = h.h_freq[tones[:, None], pairs] * scale[:, None]
-    if snr_db is not None and math.isfinite(snr_db):
+    if _noisy(snr_db):
         rng = np.random.default_rng(seed)
         var = noise_variance(snr_db, h.n_dft)
         rx_vals = rx_vals + np.stack(

@@ -36,6 +36,15 @@ class TestPdpSpec:
         ((( -1.0, 0.0),), 50.0),
         (((10.0, 0.0), (5.0, 0.0)), 50.0),
         (((0.0, 0.0),), 0.0),
+        (((0.0, 0.0),), math.nan),
+        (((0.0, 0.0),), math.inf),
+        (((0.0, 0.0),), True),
+        (((0.0, 0.0), (math.nan, 0.0)), 50.0),
+        (((0.0, 0.0), (math.inf, 0.0)), 50.0),
+        (((0.0, 0.0), (50.0, math.inf)), 50.0),
+        (((0.0, 0.0), (50.0, math.nan)), 50.0),
+        (((0.0, 0.0), (50.0, 4000.0)), 50.0),
+        (((0.0, -4000.0),), 50.0),
     ])
     def test_invalid_inputs(self, taps, period):
         with pytest.raises(ValueError):

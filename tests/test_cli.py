@@ -124,6 +124,65 @@ class TestConfig:
         assert rc == 2
         assert "sounding.usable_tones" in capsys.readouterr().err
 
+    def test_unhashable_usable_tone_rejected(self, tmp_path, capsys):
+        sounding = dict(TINY_CONFIG["sounding"], usable_tones=[[1, 2], 3, 5, 7, 9])
+        rc = main(["simulate", "--config",
+                   write_config(tmp_path, dict(TINY_CONFIG, sounding=sounding)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sounding.usable_tones" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("sounding.snr_db", float("nan")),
+        ("sounding.snr_db", float("-inf")),
+        ("feedback.ltf_duration_us", float("inf")),
+        ("feedback.ltf_duration_us", float("nan")),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, field, value):
+        section, key = field.split(".")
+        data = dict(TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{key: value})})
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            validate_config(config_from_dict(data))
+        rc = main(["overhead", "--config", write_config(tmp_path, data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_snr_is_noiseless(self, tmp_path):
+        out_none, out_inf = tmp_path / "none", tmp_path / "inf"
+        sounding = dict(TINY_CONFIG["sounding"], snr_db=float("inf"))
+        assert main(["simulate", "--config", write_config(tmp_path, TINY_CONFIG),
+                     "--out", str(out_none)]) == 0
+        assert main(["simulate", "--config",
+                     write_config(tmp_path, dict(TINY_CONFIG, sounding=sounding), "inf.yaml"),
+                     "--out", str(out_inf)]) == 0
+        assert (out_none / "channel.csv").read_bytes() == (out_inf / "channel.csv").read_bytes()
+
+    @pytest.mark.parametrize("inline", [True, False])
+    @pytest.mark.parametrize("period, tap, field", [
+        (float("nan"), {"delay_ns": 60, "power_db": -3}, "sample_period_ns"),
+        (True, {"delay_ns": 60, "power_db": -3}, "sample_period_ns"),
+        (50.0, {"delay_ns": float("nan"), "power_db": -3}, "delay_ns"),
+        (50.0, {"delay_ns": float("inf"), "power_db": -3}, "delay_ns"),
+        (50.0, {"delay_ns": 60, "power_db": float("inf")}, "power_db"),
+        (50.0, {"delay_ns": 60, "power_db": float("nan")}, "power_db"),
+        (50.0, {"delay_ns": 60, "power_db": 4000}, "power_db"),
+    ])
+    def test_bad_pdp_value_exits_2(self, tmp_path, capsys, inline, period, tap, field):
+        profile = {"sample_period_ns": period,
+                   "taps": [{"delay_ns": 0, "power_db": 0}, tap]}
+        if not inline:
+            (tmp_path / "profile.yaml").write_text(yaml.safe_dump(profile))
+            profile = "profile.yaml"
+        rc = main(["simulate", "--config",
+                   write_config(tmp_path, dict(TINY_CONFIG, pdp=profile)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "Traceback" not in err
+
     def test_more_estimates_than_the_shuffle_can_permute(self, tmp_path, capsys):
         # 32768 tones x 4 rx = 131072 estimates > 2^16
         big = dict(TINY_CONFIG, dims={"n_dft": 32768, "n_t": 2, "n_r": 4})
@@ -177,6 +236,28 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", write_config(tmp_path, bad)])
         assert rc == 2
         assert "sounding.seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--nkappa-list", "80"]])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([*command, "--config", write_config(tmp_path, TINY_CONFIG),
+                   "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "master_seed" in err and "--nkappa-list" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--nkappa-list", "80"], ["overhead"]])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_naming_a_file_exits_2(self, tmp_path, capsys, command, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        rc = main([*command, "--config", write_config(tmp_path, TINY_CONFIG),
+                   "--out", str(taken / below)])
+        assert rc == 2
+        assert "output" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"
 
     def test_algorithm_override(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CONFIG)

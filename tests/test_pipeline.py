@@ -90,6 +90,14 @@ class TestBuildMeasurementModel:
             assert alloc.assignment[tone] == tx
             assert 0 <= rx < 2
 
+    def test_rows_rise_strictly(self):
+        # the fed-back rows are stored in ascending order, whatever the shuffle picked
+        h = generate_channel(PdpSpec.default(), 64, 2, 2, seed=4)
+        alloc = allocate_ltf(64, 2, seed=9)
+        model = pl.build_measurement_model(h, alloc, 60, subsample_seed=6)
+        assert np.all(np.diff(model.selected_rows) > 0)
+        np.testing.assert_array_equal(model.y, pl.vectorize_rowmajor(h.h_freq)[model.selected_rows])
+
     def test_both_rx_rows_present_before_subsampling(self):
         h = generate_channel(PdpSpec.default(), 16, 2, 2, seed=5)
         alloc = allocate_ltf(16, 2, seed=7)

@@ -92,6 +92,13 @@ class TestConventionalSounding:
             receive_ltf(x, h, snr_db=math.inf), receive_ltf(x, h, snr_db=None)
         )
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        h = generate_channel(PdpSpec.default(), 8, 2, 2, seed=1)
+        x = transmit_ltf_conventional(LtfSequence.all_ones(8), p_matrix(2))
+        with pytest.raises(ValueError, match="snr_db"):
+            receive_ltf(x, h, snr_db=snr_db)
+
     def test_pure_noise_variance(self):
         # zero channel: the received tensor is noise at the nominal variance
         zero = generate_channel(PdpSpec(taps=((0.0, 0.0),)), 2500, 2, 2, seed=2)
@@ -306,6 +313,34 @@ class TestPuncturedSounding:
         ests = punctured_sound_and_estimate(h, alloc, ltf, None, power_mode="boosted")
         for e in ests:
             assert abs(e.value - h.h_freq[e.tone, e.rx * 2 + e.tx]) < 1e-12
+
+    def test_infinite_snr_equals_noiseless(self):
+        h = generate_channel(PdpSpec.default(), 16, 2, 2, seed=12)
+        alloc = allocate_ltf(16, 2, seed=13)
+        ltf = LtfSequence.all_ones(16)
+        np.testing.assert_array_equal(
+            punctured_sound_and_estimate(h, alloc, ltf, math.inf).value,
+            punctured_sound_and_estimate(h, alloc, ltf, None).value)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_snr_rejected(self, snr_db):
+        h = generate_channel(PdpSpec.default(), 16, 2, 2, seed=12)
+        alloc = allocate_ltf(16, 2, seed=13)
+        with pytest.raises(ValueError, match="snr_db"):
+            punctured_sound_and_estimate(h, alloc, LtfSequence.all_ones(16), snr_db)
+
+    def test_noise_drawn_per_rx_antenna_in_order(self):
+        # rx antenna m gets the m-th standard-normal draw of n_tones entries
+        h = generate_channel(PdpSpec.default(), 16, 2, 3, seed=12)
+        alloc = allocate_ltf(16, 2, seed=13)
+        ests = punctured_sound_and_estimate(h, alloc, LtfSequence.all_ones(16), 10.0, seed=5)
+        rng = np.random.default_rng(5)
+        scale = math.sqrt(noise_variance(10.0, 16) / 2.0)
+        for m in range(3):
+            noise = scale * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+            mine = ests[ests.rx == m]
+            np.testing.assert_allclose(
+                mine.value - h.h_freq[mine.tone, m * 2 + mine.tx], noise, atol=1e-15)
 
     def test_boosted_noise_reduction(self):
         h = generate_channel(PdpSpec.default(), 256, 4, 2, seed=16)
