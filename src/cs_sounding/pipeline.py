@@ -144,7 +144,7 @@ def build_measurement_model(h: chan.ChannelRealization, alloc: snd.LtfAllocation
     # with the index: sorting the picked indices sorts the rows.
     est = estimates[np.sort(snd.knuth_shuffle(len(estimates), subsample_seed)[:n_kappa])]
     rows = est.tone * h.n_s + est.rx * h.n_t + est.tx
-    values = np.ascontiguousarray(est.value)
+    values = est.value
     if quant_bits is not None:
         values = fb.quantize_measurements(values, quant_bits).values
     return MeasurementModel(
