@@ -1,5 +1,6 @@
 """Tests for the LTF training protocol, LFSR, shuffle, and allocation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -156,6 +157,11 @@ class TestConventionalSounding:
             LtfSequence(np.array([1.0, 0.5]))
 
 
+def _int64_digest(values):
+    """sha256 of the values as little-endian int64 bytes."""
+    return hashlib.sha256(np.asarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
 def _lfsr_words_oracle(seed, n_words):
     """Bit-list simulation of the x^16+x^14+x^13+x^11+1 Fibonacci register."""
     bits = [(seed >> i) & 1 for i in range(16)]  # lsb first
@@ -194,6 +200,11 @@ class TestLfsr:
         with pytest.raises(ValueError):
             Lfsr16(seed)
 
+    def test_stream_digest_frozen_past_the_period(self):
+        # 70000 words wrap past the 65535-word period
+        assert _int64_digest(lfsr_stream(0xACE1, 70000)) == (
+            "52020e8e4986f32a79078b2ae9479c91775a8a3d044875eacb576d7ec35e0877")
+
     def test_words_in_range(self):
         assert all(1 <= w <= 0xFFFF for w in lfsr_stream(99, 1000))
 
@@ -217,6 +228,15 @@ class TestKnuthShuffle:
     def test_always_a_permutation(self, n, seed):
         perm = knuth_shuffle(n, seed)
         assert sorted(perm.tolist()) == list(range(n))
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        (4096, 7, "7e00f33ee5100ec15ab4ccafe6ffccc48ef492fa152e86f29df835c5e3008e99"),
+        (65536, 3, "e0cbead53e14115b7f91dd2fb0df480b1b8dc16e2d08519858304389992a414b"),
+        (65535, 0xFFFF, "069d0670e3d501c06f24a12302e1bbc169604e9a3fcf0dc2aef4539d227c155f"),
+    ])
+    def test_digest_frozen_beyond_fixture_sizes(self, n, seed, digest):
+        # the reference fixture only reaches shuffles of 256 and 512 items
+        assert _int64_digest(knuth_shuffle(n, seed)) == digest
 
     def test_deterministic(self):
         np.testing.assert_array_equal(knuth_shuffle(64, 3), knuth_shuffle(64, 3))
