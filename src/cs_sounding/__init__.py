@@ -31,9 +31,7 @@ from .numerics import (
     NotPositiveDefinite,
     cholesky,
     dft_matrix,
-    fft,
     fft2d,
-    ifft,
     ifft2d,
     kron_row,
     solve_normal_equations,

@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from . import numerics
 from . import pipeline
 from . import sounding as snd
 from .config import ConfigError, load_config, validate_config
-from .sparse_recovery import DegenerateSupport, InsufficientMeasurements, MeasurementOperator
+from .sparse_recovery import (
+    ALGORITHMS, DegenerateSupport, InsufficientMeasurements, MeasurementOperator,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,16 +52,6 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(path: str, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _report_dict(report: fb.FeedbackReport) -> dict:
-    return {
-        "scheme": report.scheme,
-        "bits_per_tone": report.bits_per_tone,
-        "n_tones": report.n_tones,
-        "total_bits": report.total_bits,
-        "airtime_us": report.airtime_us,
-    }
 
 
 def _apply_overrides(cfg, args):
@@ -91,20 +83,15 @@ def cmd_simulate(args) -> int:
     except (DegenerateSupport, InsufficientMeasurements) as exc:
         _write_json(os.path.join(outdir, "result.json"), {
             "status": f"solver_error: {exc}",
-            "config": cfg.to_dict(),
+            "config": asdict(cfg),
         })
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     result = {
-        "status": res.status,
-        "config": cfg.to_dict(),
-        "seeds": {
-            "channel": res.seeds.channel,
-            "noise": res.seeds.noise,
-            "subsample": res.seeds.subsample,
-            "allocation": res.seeds.allocation,
-        },
+        "status": "ok",
+        "config": asdict(cfg),
+        "seeds": asdict(res.seeds),
         "mse": res.mse,
         "mse_freq": res.mse_freq,
         "kappa_realized": res.kappa_realized,
@@ -119,8 +106,8 @@ def cmd_simulate(args) -> int:
         },
         "mac_model_per_iteration": res.mac_model_per_iteration,
         "overhead": {
-            "conventional": _report_dict(res.overhead[0]),
-            "proposed": _report_dict(res.overhead[1]),
+            "conventional": asdict(res.overhead[0]),
+            "proposed": asdict(res.overhead[1]),
         },
     }
     _write_json(os.path.join(outdir, "result.json"), result)
@@ -130,8 +117,8 @@ def cmd_simulate(args) -> int:
         ("delay2d", res.true_channel.h_2d, res.recovered.h_2d),
         ("freq", res.true_channel.h_freq, res.recovered.h_freq),
     ):
-        t = pipeline.vectorize_rowmajor(true_mat)
-        r = pipeline.vectorize_rowmajor(rec_mat)
+        t = true_mat.ravel()
+        r = rec_mat.ravel()
         for i in range(t.size):
             lines.append(",".join([
                 domain, str(i),
@@ -147,8 +134,6 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         cfg, pdp = _load(args)
-        if not args.nkappa_list.strip():
-            raise ConfigError("--nkappa-list: must give at least one value")
         try:
             nk_list = [int(tok) for tok in args.nkappa_list.split(",") if tok.strip()]
         except ValueError as exc:
@@ -190,8 +175,8 @@ def cmd_overhead(args) -> int:
         cfg.feedback.n_tones, cfg.feedback.ltf_duration_us, cfg.feedback.quant_bits,
     )
     payload = {
-        "conventional": _report_dict(conv),
-        "proposed": _report_dict(prop),
+        "conventional": asdict(conv),
+        "proposed": asdict(prop),
         "angle_bits_per_tone": {
             "n_t": d.n_t,
             "n_r": d.n_r,
@@ -303,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=config_required, help="YAML/JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--algorithm", choices=["cosamp", "omp"], default=None,
+        p.add_argument("--algorithm", choices=ALGORITHMS, default=None,
                        help="override recovery algorithm")
 
     p_sim = sub.add_parser("simulate", help="run one experiment")

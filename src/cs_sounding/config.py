@@ -11,16 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
 from .channel import PdpSpec, bin_pdp
-from .sounding import MAX_SHUFFLE_SIZE
-
-ALGORITHMS = ("cosamp", "omp")
-POWER_MODES = ("uniform", "boosted")
-FEEDBACK_MODES = ("SU", "MU")
+from .feedback import ANGLE_BIT_WIDTHS
+from .sounding import MAX_SHUFFLE_SIZE, POWER_MODES
+from .sparse_recovery import ALGORITHMS
 
 
 class ConfigError(ValueError):
@@ -84,12 +82,6 @@ class ExperimentConfig:
     def resolve_pdp(self, base_dir: str = ".") -> PdpSpec:
         return _resolve_pdp(self.pdp, base_dir)
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if isinstance(out["sounding"]["usable_tones"], tuple):
-            out["sounding"]["usable_tones"] = list(out["sounding"]["usable_tones"])
-        return out
-
 
 def _resolve_pdp(pdp, base_dir: str) -> PdpSpec:
     if isinstance(pdp, PdpSpec):
@@ -147,26 +139,18 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
     errors: list[str] = []
-    top_known = {"dims", "pdp", "correlation", "recovery", "sounding",
-                 "feedback", "trials", "master_seed", "output"}
-    unknown = set(data) - top_known
+    top = fields(ExperimentConfig)
+    unknown = set(data) - {f_.name for f_ in top}
     if unknown:
         errors.append(f"unknown top-level keys {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        dims=_build_section(DimsConfig, data.get("dims"), "dims", errors),
-        pdp=data.get("pdp", "default"),
-        correlation=_build_section(CorrelationConfig, data.get("correlation"),
-                                   "correlation", errors),
-        recovery=_build_section(RecoveryConfigSection, data.get("recovery"),
-                                "recovery", errors),
-        sounding=_build_section(SoundingConfig, data.get("sounding"),
-                                "sounding", errors),
-        feedback=_build_section(FeedbackConfig, data.get("feedback"),
-                                "feedback", errors),
-        trials=data.get("trials", 1),
-        master_seed=data.get("master_seed", 0),
-        output=data.get("output", "results"),
-    )
+    kwargs = {}
+    for f_ in top:
+        if f_.default_factory is not MISSING:  # a section, built from its mapping
+            kwargs[f_.name] = _build_section(f_.default_factory, data.get(f_.name),
+                                             f_.name, errors)
+        elif f_.name in data:
+            kwargs[f_.name] = data[f_.name]
+    cfg = ExperimentConfig(**kwargs)
     if errors:
         raise ConfigError("; ".join(errors))
     return cfg
@@ -250,8 +234,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         )
 
     f = cfg.feedback
-    if f.mode not in FEEDBACK_MODES:
-        errors.append(f"feedback.mode: must be one of {list(FEEDBACK_MODES)}, got {f.mode!r}")
+    if f.mode not in list(ANGLE_BIT_WIDTHS):  # a list: the mode may be unhashable
+        errors.append(f"feedback.mode: must be one of {list(ANGLE_BIT_WIDTHS)}, got {f.mode!r}")
     if f.quant_bits is not None and (not _is(f.quant_bits, int) or f.quant_bits < 1):
         errors.append(f"feedback.quant_bits: must be a positive integer or null, got {f.quant_bits!r}")
     if not _is(f.n_tones, int) or f.n_tones < 0:

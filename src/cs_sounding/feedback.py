@@ -148,12 +148,14 @@ def givens_reconstruct(angles: GivensAngles) -> np.ndarray:
     return m
 
 
-def _quantize_uniform(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
-    """Mid-rise uniform quantization of values in [lo, hi]."""
+def _quantize_uniform(x: np.ndarray, lo: float, hi: float,
+                      bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mid-rise uniform quantization of values in [lo, hi]: the level
+    indices (as floats) and the dequantized values."""
     levels = 2**bits
     step = (hi - lo) / levels
     idx = np.clip(np.floor((x - lo) / step), 0, levels - 1)
-    return lo + (idx + 0.5) * step
+    return idx, lo + (idx + 0.5) * step
 
 
 def quantize_angles(angles: GivensAngles, mode: str) -> GivensAngles:
@@ -162,8 +164,8 @@ def quantize_angles(angles: GivensAngles, mode: str) -> GivensAngles:
     return GivensAngles(
         angles.n_t,
         angles.n_c,
-        _quantize_uniform(np.asarray(angles.phi), 0.0, 2.0 * np.pi, b_phi),
-        _quantize_uniform(np.asarray(angles.psi), 0.0, np.pi / 2.0, b_psi),
+        _quantize_uniform(np.asarray(angles.phi), 0.0, 2.0 * np.pi, b_phi)[1],
+        _quantize_uniform(np.asarray(angles.psi), 0.0, np.pi / 2.0, b_psi)[1],
     )
 
 
@@ -200,11 +202,8 @@ def quantize_measurements(values, bits_per_component: int | None) -> QuantizedMe
             np.zeros_like(vals), bits, 0.0,
             bytes(math.ceil(vals.size * 2 * bits / 8)), bit_count,
         )
-    levels = 2**bits
-    step = 2.0 * scale / levels
-    idx = np.clip(np.floor((comps + scale) / step), 0, levels - 1).astype(np.uint32)
-    deq = -scale + (idx + 0.5) * step
+    idx, deq = _quantize_uniform(comps, -scale, scale, bits)
     out = deq[:vals.size] + 1j * deq[vals.size:]
-    bit_cols = (idx[:, None] >> np.arange(bits - 1, -1, -1)) & 1
+    bit_cols = (idx.astype(np.uint32)[:, None] >> np.arange(bits - 1, -1, -1)) & 1
     payload = np.packbits(bit_cols.astype(np.uint8).ravel()).tobytes()
     return QuantizedMeasurements(out, bits, scale, payload, bit_count)

@@ -53,28 +53,9 @@ def _transform(a: np.ndarray, inverse: bool, axes) -> np.ndarray:
     return np.fft.fftn(a, axes=axes, norm="ortho")
 
 
-def fft(v: np.ndarray) -> np.ndarray:
-    """Unitary forward DFT of a vector; matches dft_matrix(n) @ v."""
-    if np.ndim(v) != 1:
-        raise ValueError("fft expects a 1-D vector; use fft2d for matrices")
-    return _transform(v, False, (0,))
-
-
-def ifft(v: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT; ifft(fft(v)) == v."""
-    if np.ndim(v) != 1:
-        raise ValueError("ifft expects a 1-D vector; use ifft2d for matrices")
-    return _transform(v, True, (0,))
-
-
 def fft_columns(a: np.ndarray) -> np.ndarray:
     """Unitary forward DFT of each column of a 2-D array."""
     return _transform(np.atleast_2d(a), False, (0,))
-
-
-def ifft_columns(a: np.ndarray) -> np.ndarray:
-    """Unitary inverse DFT of each column of a 2-D array."""
-    return _transform(np.atleast_2d(a), True, (0,))
 
 
 def fft2d(h: np.ndarray) -> np.ndarray:

@@ -68,22 +68,6 @@ class ExperimentResult:
     threshold_floor: float | None
     mac_model_per_iteration: int
     seeds: TrialSeeds
-    status: str = "ok"
-
-
-def vectorize_rowmajor(m: np.ndarray) -> np.ndarray:
-    """Row-major flattening: entry (n, v) lands at index n * n_cols + v."""
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    return m.reshape(-1)
-
-
-def devectorize(v: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    v = np.asarray(v)
-    if v.size != dims[0] * dims[1]:
-        raise ValueError(f"vector of length {v.size} does not fill dims {dims}")
-    return v.reshape(dims)
 
 
 def kron_consistency_check(h: np.ndarray) -> float:
@@ -95,8 +79,8 @@ def kron_consistency_check(h: np.ndarray) -> float:
     """
     h = np.asarray(h, dtype=np.complex128)
     n_rows, n_cols = h.shape
-    two_sided = vectorize_rowmajor(numerics.fft2d(h))
-    vec = vectorize_rowmajor(h)
+    two_sided = numerics.fft2d(h).ravel()
+    vec = h.ravel()
     worst = 0.0
     for row in range(n_rows * n_cols):
         via_row = numerics.kron_row((n_rows, n_cols), row) @ vec
@@ -157,24 +141,25 @@ def recover_channel(model: MeasurementModel, cfg: sr.RecoveryConfig,
                     algorithm: str = "cosamp"
                     ) -> tuple[chan.ChannelRealization, sr.SparseRecoveryResult]:
     """Run greedy recovery on the model and rebuild all three channel views."""
-    if algorithm not in ("cosamp", "omp"):
-        raise ValueError(f"algorithm must be 'cosamp' or 'omp', got {algorithm!r}")
+    if algorithm not in sr.ALGORITHMS:
+        raise ValueError(f"algorithm must be {' or '.join(map(repr, sr.ALGORITHMS))}, "
+                         f"got {algorithm!r}")
     operator = sr.MeasurementOperator.from_kron_rows(
         model.n_dft, model.n_s, model.selected_rows
     )
-    solver = sr.cosamp if algorithm == "cosamp" else sr.omp
-    result = solver(operator, model.y, cfg)
+    # looked up at call time, so a wrapper installed on the module is used
+    result = getattr(sr, algorithm)(operator, model.y, cfg)
     realization = chan.ChannelRealization.from_2d(
         model.n_dft, model.n_t, model.n_r,
-        devectorize(result.x_hat, (model.n_dft, model.n_s)),
+        result.x_hat.reshape(model.n_dft, model.n_s),
     )
     return realization, result
 
 
 def _relative_error(ref: np.ndarray, est: np.ndarray) -> float:
     """||est - ref||^2 / ||ref||^2 over the row-major vectorizations."""
-    ref = vectorize_rowmajor(ref)
-    err = float(np.linalg.norm(vectorize_rowmajor(est) - ref)) ** 2
+    ref = ref.ravel()
+    err = float(np.linalg.norm(est.ravel() - ref)) ** 2
     denom = float(np.linalg.norm(ref)) ** 2
     if denom == 0.0:
         return 0.0 if err == 0.0 else math.inf

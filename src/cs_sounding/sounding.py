@@ -28,6 +28,7 @@ LFSR_PERIOD = 2**LFSR_STATE_BITS - 1
 # Largest n knuth_shuffle can permute: each draw needs a 16-bit word below
 # floor(2^16 / k) * k, which no word is once the range k exceeds 2^16.
 MAX_SHUFFLE_SIZE = 2**LFSR_STATE_BITS
+POWER_MODES = ("uniform", "boosted")
 
 
 @dataclass(frozen=True)
@@ -155,57 +156,46 @@ def estimate_conventional(y: np.ndarray, ltf: LtfSequence, p: PMatrix) -> np.nda
     return unspread * (ltf.symbols / n)[:, None, None]
 
 
-class Lfsr16:
-    """Fibonacci LFSR over x^16 + x^14 + x^13 + x^11 + 1 (maximal length).
-
-    step() shifts by one bit and returns the output bit; next_word()
-    advances 16 steps and returns the fully refreshed 16-bit state.
-    """
-
-    def __init__(self, seed: int):
-        if not 1 <= seed <= LFSR_PERIOD:
-            raise ValueError(
-                f"LFSR seed must be a nonzero 16-bit integer, got {seed}"
-            )
-        self.state = int(seed)
-
-    def step(self) -> int:
-        s = self.state
-        self.state = _lfsr_shift(s)
-        return s & 1
-
-    def next_word(self) -> int:
-        self.state = _lfsr_word_table()[self.state]
-        return self.state
-
-
 def _lfsr_shift(s):
-    """One LFSR shift of a state, an int or an integer array of states."""
+    """One shift of the Fibonacci LFSR over x^16 + x^14 + x^13 + x^11 + 1
+    (maximal length), on an int or an integer array of states."""
     bit = (s ^ (s >> 2) ^ (s >> 3) ^ (s >> 5)) & 1
     return (s >> 1) | (bit << 15)
 
 
 @functools.cache
 def _lfsr_word_table() -> memoryview:
-    """Read-only uint16 table: the LFSR state after 16 step() calls, for
-    every 16-bit state, built once per process with vectorized shifts."""
+    """Read-only uint16 table: the LFSR state after 16 shifts, for every
+    16-bit state, built once per process with vectorized shifts."""
     s = np.arange(2**LFSR_STATE_BITS, dtype=np.uint32)
     for _ in range(LFSR_STATE_BITS):
         s = _lfsr_shift(s)
     return memoryview(s.astype(np.uint16).tobytes()).cast("H")
 
 
+def _check_seed(seed: int) -> None:
+    if not 1 <= seed <= LFSR_PERIOD:
+        raise ValueError(f"LFSR seed must be a nonzero 16-bit integer, got {seed}")
+
+
 def lfsr_stream(seed: int, count: int) -> list[int]:
-    """First `count` 16-bit words of the LFSR word sequence for `seed`.
+    """First `count` 16-bit words of the LFSR word sequence for `seed`:
+    each word is the state after 16 more shifts.
 
     Reference value, frozen in the tests: seed 1 emits 26625 first.
     """
-    gen = Lfsr16(seed)
-    return [gen.next_word() for _ in range(count)]
+    _check_seed(seed)
+    table = _lfsr_word_table()
+    words = []
+    state = seed
+    for _ in range(count):
+        state = table[state]
+        words.append(state)
+    return words
 
 
 def knuth_shuffle(n: int, seed: int) -> np.ndarray:
-    """Fisher-Yates permutation of 0..n-1 driven by the 16-bit LFSR.
+    """Fisher-Yates permutation of 0..n-1 driven by the LFSR words of `seed`.
 
     Words >= floor(2^16 / k) * k are rejected before the modulo, keeping
     every draw uniform over its range. Raises ValueError for n above
@@ -213,18 +203,19 @@ def knuth_shuffle(n: int, seed: int) -> np.ndarray:
     """
     if not 1 <= n <= MAX_SHUFFLE_SIZE:
         raise ValueError(f"n must be in [1, {MAX_SHUFFLE_SIZE}], got {n}")
-    gen = Lfsr16(seed)
-    perm = np.arange(n)
+    _check_seed(seed)
+    table = _lfsr_word_table()
+    state = seed
+    perm = list(range(n))
     for i in range(n - 1, 0, -1):
         k = i + 1
         limit = (2**LFSR_STATE_BITS // k) * k
-        while True:
-            word = gen.next_word()
-            if word < limit:
-                break
-        j = word % k
+        state = table[state]
+        while state >= limit:
+            state = table[state]
+        j = state % k
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm)
 
 
 @dataclass(frozen=True)
@@ -286,8 +277,9 @@ def punctured_sound_and_estimate(h: ChannelRealization, alloc: LtfAllocation,
     antenna), with fields tone, tx, rx and value, ordered by tone then RX.
     Noise is drawn one sounded-tone vector per RX antenna, in RX order.
     """
-    if power_mode not in ("uniform", "boosted"):
-        raise ValueError(f"power_mode must be 'uniform' or 'boosted', got {power_mode!r}")
+    if power_mode not in POWER_MODES:
+        raise ValueError(f"power_mode must be {' or '.join(map(repr, POWER_MODES))}, "
+                         f"got {power_mode!r}")
     if alloc.n_dft != h.n_dft or alloc.n_t != h.n_t:
         raise ValueError("allocation does not match channel dimensions")
     if len(ltf) != h.n_dft:

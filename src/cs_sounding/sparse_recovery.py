@@ -23,6 +23,7 @@ import numpy as np
 from . import numerics
 from .numerics import NotPositiveDefinite
 
+ALGORITHMS = ("cosamp", "omp")  # the solver functions of this module
 
 class InsufficientMeasurements(ValueError):
     """Fewer measurement rows than the solver needs (requires 2*kappa)."""

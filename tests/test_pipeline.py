@@ -6,8 +6,6 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cs_sounding import numerics as nm
 from cs_sounding import pipeline as pl
@@ -30,28 +28,6 @@ def base_config(**overrides):
     return config_from_dict(data)
 
 
-class TestVectorize:
-    def test_one_by_one(self):
-        m = np.array([[3.0 + 1j]])
-        assert pl.vectorize_rowmajor(m).tolist() == [3.0 + 1j]
-        np.testing.assert_array_equal(pl.devectorize([3.0 + 1j], (1, 1)), m)
-
-    def test_two_by_two_rowmajor(self):
-        m = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert pl.vectorize_rowmajor(m).tolist() == [1, 2, 3, 4]
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        np.testing.assert_array_equal(pl.devectorize(pl.vectorize_rowmajor(m), (8, 4)), m)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            pl.devectorize(np.zeros(5), (2, 2))
-
-
 class TestKronConsistency:
     def test_zero_matrix(self):
         assert pl.kron_consistency_check(np.zeros((4, 2))) == 0.0
@@ -72,10 +48,10 @@ class TestBuildMeasurementModel:
         h = generate_channel(PdpSpec.default(), 32, 2, 2, seed=2)
         alloc = allocate_ltf(32, 2, seed=3)
         model = pl.build_measurement_model(h, alloc, 32 * 2, subsample_seed=5)
-        vec_freq = pl.vectorize_rowmajor(h.h_freq)
+        vec_freq = h.h_freq.ravel()
         np.testing.assert_array_equal(model.y, vec_freq[model.selected_rows])
         # and the frequency grid is the doubly-transformed tap grid
-        via_2d = pl.vectorize_rowmajor(nm.fft2d(h.h_2d))
+        via_2d = nm.fft2d(h.h_2d).ravel()
         assert np.max(np.abs(model.y - via_2d[model.selected_rows])) < 1e-10
 
     def test_rows_unique_and_consistent_with_allocation(self):
@@ -96,7 +72,7 @@ class TestBuildMeasurementModel:
         alloc = allocate_ltf(64, 2, seed=9)
         model = pl.build_measurement_model(h, alloc, 60, subsample_seed=6)
         assert np.all(np.diff(model.selected_rows) > 0)
-        np.testing.assert_array_equal(model.y, pl.vectorize_rowmajor(h.h_freq)[model.selected_rows])
+        np.testing.assert_array_equal(model.y, h.h_freq.ravel()[model.selected_rows])
 
     def test_both_rx_rows_present_before_subsampling(self):
         h = generate_channel(PdpSpec.default(), 16, 2, 2, seed=5)
@@ -145,7 +121,7 @@ class TestRecoverChannel:
         rows = np.sort(rng.choice(n_dft * n_s, 4 * kappa, replace=False))
         model = pl.MeasurementModel(
             n_dft=n_dft, n_t=4, n_r=2,
-            selected_rows=rows, y=pl.vectorize_rowmajor(freq)[rows],
+            selected_rows=rows, y=freq.ravel()[rows],
         )
         rec, res = pl.recover_channel(model, RecoveryConfig(kappa=kappa))
         assert np.linalg.norm(rec.h_2d - h_2d) / np.linalg.norm(h_2d) < 1e-6

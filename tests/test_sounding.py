@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from cs_sounding.channel import PdpSpec, generate_channel
 from cs_sounding.sounding import (
-    Lfsr16,
     LtfSequence,
     UnsupportedDimension,
+    _lfsr_shift,
     _lfsr_word_table,
     allocate_ltf,
     estimate_conventional,
@@ -185,10 +185,10 @@ class TestLfsr:
         assert lfsr_stream(seed, 8) == _lfsr_words_oracle(seed, 8)
 
     def test_full_period_returns_to_seed(self):
-        gen = Lfsr16(0xACE1)
+        state = 0xACE1
         for _ in range(2**16 - 1):
-            gen.step()
-        assert gen.state == 0xACE1
+            state = _lfsr_shift(state)
+        assert state == 0xACE1
 
     def test_no_shorter_period_at_word_granularity(self):
         # 65535 and 16 are coprime, so word states cannot repeat early
@@ -197,8 +197,10 @@ class TestLfsr:
 
     @pytest.mark.parametrize("seed", [0, -1, 0x10000])
     def test_bad_seeds_rejected(self, seed):
-        with pytest.raises(ValueError):
-            Lfsr16(seed)
+        with pytest.raises(ValueError, match="seed"):
+            lfsr_stream(seed, 1)
+        with pytest.raises(ValueError, match="seed"):
+            knuth_shuffle(4, seed)
 
     def test_stream_digest_frozen_past_the_period(self):
         # 70000 words wrap past the 65535-word period
@@ -210,12 +212,11 @@ class TestLfsr:
 
     def test_word_table_is_sixteen_steps_from_every_state(self):
         table = _lfsr_word_table()
-        gen = Lfsr16(1)
         for state in range(2**16):
-            gen.state = state
+            after = state
             for _ in range(16):
-                gen.step()
-            assert table[state] == gen.state, state
+                after = _lfsr_shift(after)
+            assert table[state] == after, state
 
 
 class TestKnuthShuffle:
@@ -251,10 +252,10 @@ class TestKnuthShuffle:
         # loop would never end; the size check must fire before any draw
         import cs_sounding.sounding as snd
 
-        def no_draws(seed):
+        def no_draws():
             raise AssertionError("the LFSR was started")
 
-        monkeypatch.setattr(snd, "Lfsr16", no_draws)
+        monkeypatch.setattr(snd, "_lfsr_word_table", no_draws)
         with pytest.raises(ValueError, match="65536"):
             knuth_shuffle(2**16 + 1, seed=1)
 
