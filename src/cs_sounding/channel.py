@@ -52,6 +52,8 @@ class PdpSpec:
             raise ValueError("power_db must be within +/-300 dB")
         if _finite(self.sample_period_ns, "sample_period_ns") <= 0:
             raise ValueError("sample_period_ns must be positive")
+        if not math.isfinite(delays[-1] / self.sample_period_ns):  # bin_pdp's int()
+            raise ValueError("delay_ns / sample_period_ns must be finite")
         total = sum(10.0 ** (p / 10.0) for _, p in taps)
         shift = 10.0 * math.log10(total)
         object.__setattr__(

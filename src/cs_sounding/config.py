@@ -16,8 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import yaml
 
 from .channel import PdpSpec, bin_pdp
-from .feedback import ANGLE_BIT_WIDTHS
-from .sounding import MAX_SHUFFLE_SIZE, POWER_MODES
+from .feedback import ANGLE_BIT_WIDTHS, MAX_QUANT_BITS
+from .sounding import MAX_SHUFFLE_SIZE, MIN_SNR_DB, POWER_MODES
 from .sparse_recovery import ALGORITHMS
 
 
@@ -221,8 +221,9 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             f"sounding.n_kappa: only {available} measurements available "
             f"({n_usable} tones x {d.n_r} rx), got {s.n_kappa!r}"
         )
-    if s.snr_db is not None and not (_is(s.snr_db, (int, float)) and s.snr_db > -math.inf):
-        errors.append(f"sounding.snr_db: must be a number (not NaN or -inf) or null, got {s.snr_db!r}")
+    if s.snr_db is not None and not (_is(s.snr_db, (int, float)) and s.snr_db >= MIN_SNR_DB):
+        errors.append(f"sounding.snr_db: must be a number >= {MIN_SNR_DB:g} dB "
+                      f"(not NaN) or null, got {s.snr_db!r}")
     if s.power_mode not in POWER_MODES:
         errors.append(
             f"sounding.power_mode: must be one of {list(POWER_MODES)}, got {s.power_mode!r}"
@@ -236,8 +237,10 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     f = cfg.feedback
     if f.mode not in list(ANGLE_BIT_WIDTHS):  # a list: the mode may be unhashable
         errors.append(f"feedback.mode: must be one of {list(ANGLE_BIT_WIDTHS)}, got {f.mode!r}")
-    if f.quant_bits is not None and (not _is(f.quant_bits, int) or f.quant_bits < 1):
-        errors.append(f"feedback.quant_bits: must be a positive integer or null, got {f.quant_bits!r}")
+    if f.quant_bits is not None and (
+            not _is(f.quant_bits, int) or not 1 <= f.quant_bits <= MAX_QUANT_BITS):
+        errors.append(f"feedback.quant_bits: must be an integer in [1, {MAX_QUANT_BITS}] "
+                      f"or null, got {f.quant_bits!r}")
     if not _is(f.n_tones, int) or f.n_tones < 0:
         errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
     if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:

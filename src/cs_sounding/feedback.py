@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADER_BITS = 32  # shared quantizer scale, sent once per report
+MAX_QUANT_BITS = 32  # level indices are packed from uint32
 
 ANGLE_BIT_WIDTHS = {"SU": (6, 4), "MU": (9, 7)}  # (phi, psi) bits per angle
 
@@ -186,14 +187,16 @@ def quantize_measurements(values, bits_per_component: int | None) -> QuantizedMe
     Real and imaginary parts are quantized separately against one shared
     scale (max absolute component), which travels as a fixed-size header.
     Per-component error is at most step/2 = scale / 2**bits. Passing None
-    (or inf) selects the ideal mode: values unchanged, no payload.
+    (or inf) selects the ideal mode: values unchanged, no payload. Widths
+    above MAX_QUANT_BITS raise ValueError.
     """
     vals = np.asarray(values, dtype=np.complex128).ravel()
     if bits_per_component is None or math.isinf(bits_per_component):
         return QuantizedMeasurements(vals.copy(), None, 0.0, b"", None)
     bits = int(bits_per_component)
-    if bits < 1:
-        raise ValueError(f"bits_per_component must be >= 1, got {bits}")
+    if not 1 <= bits <= MAX_QUANT_BITS:
+        raise ValueError(
+            f"bits_per_component must be in [1, {MAX_QUANT_BITS}], got {bits}")
     comps = np.concatenate([vals.real, vals.imag])
     scale = float(np.max(np.abs(comps))) if comps.size else 0.0
     bit_count = vals.size * 2 * bits + HEADER_BITS

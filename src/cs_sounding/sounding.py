@@ -29,6 +29,7 @@ LFSR_PERIOD = 2**LFSR_STATE_BITS - 1
 # floor(2^16 / k) * k, which no word is once the range k exceeds 2^16.
 MAX_SHUFFLE_SIZE = 2**LFSR_STATE_BITS
 POWER_MODES = ("uniform", "boosted")
+MIN_SNR_DB = -300.0  # keeps the noise variance 10**(-snr_db/10) finite
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,10 @@ def noise_variance(snr_db: float, n_dft: int) -> float:
 
 
 def _noisy(snr_db: float | None) -> bool:
-    """None or +inf means noiseless, a finite SNR adds noise; NaN and -inf raise."""
-    if snr_db is not None and (math.isnan(snr_db) or snr_db == -math.inf):
-        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db!r}")
+    """None or +inf means noiseless, a finite SNR down to MIN_SNR_DB adds
+    noise; NaN and anything lower raise."""
+    if snr_db is not None and not snr_db >= MIN_SNR_DB:
+        raise ValueError(f"snr_db must be >= {MIN_SNR_DB:g} dB, +inf or None, got {snr_db!r}")
     return snr_db is not None and snr_db != math.inf
 
 
@@ -123,7 +125,7 @@ def receive_ltf(x: np.ndarray, h: ChannelRealization, snr_db: float | None,
     """Propagate the LTF symbols: Y_k = H_k @ X_k + noise.
 
     Returns shape (n_dft, n_r, n_p). snr_db None or +inf means noiseless;
-    NaN and -inf raise ValueError.
+    NaN and values below MIN_SNR_DB raise ValueError.
     """
     x = np.asarray(x)
     if x.shape[0] != h.n_dft or x.shape[1] != h.n_t:

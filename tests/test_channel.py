@@ -45,6 +45,8 @@ class TestPdpSpec:
         (((0.0, 0.0), (50.0, math.nan)), 50.0),
         (((0.0, 0.0), (50.0, 4000.0)), 50.0),
         (((0.0, -4000.0),), 50.0),
+        (((0.0, 0.0), (1e307, 0.0)), 1e-3),  # delay / period overflows
+        (((0.0, 0.0), (60.0, 0.0)), 1e-320),
     ])
     def test_invalid_inputs(self, taps, period):
         with pytest.raises(ValueError):

@@ -128,6 +128,10 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("sounding.snr_db", float("nan")),
         ("sounding.snr_db", float("-inf")),
+        ("sounding.snr_db", -4000.0),  # the noise variance overflows
+        ("sounding.snr_db", -300.5),
+        ("feedback.quant_bits", 33),  # level indices are packed from uint32
+        ("feedback.quant_bits", 2000),
         ("feedback.ltf_duration_us", float("inf")),
         ("feedback.ltf_duration_us", float("nan")),
     ])
@@ -161,6 +165,8 @@ class TestConfig:
         (50.0, {"delay_ns": 60, "power_db": float("inf")}, "power_db"),
         (50.0, {"delay_ns": 60, "power_db": float("nan")}, "power_db"),
         (50.0, {"delay_ns": 60, "power_db": 4000}, "power_db"),
+        (1e-3, {"delay_ns": 1e307, "power_db": -3}, "delay_ns / sample_period_ns"),
+        (1e-320, {"delay_ns": 60, "power_db": -3}, "delay_ns / sample_period_ns"),
     ])
     def test_bad_pdp_value_exits_2(self, tmp_path, capsys, inline, period, tap, field):
         profile = {"sample_period_ns": period,

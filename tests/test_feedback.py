@@ -207,6 +207,20 @@ class TestQuantizeMeasurements:
     def test_bad_bits(self):
         with pytest.raises(ValueError):
             quantize_measurements([1.0], 0)
+        # the level indices are packed from uint32: 33 bits used to wrap them
+        for bits in (33, 2000):
+            with pytest.raises(ValueError, match="32"):
+                quantize_measurements([1.0], bits)
+
+    def test_widest_width_payload_decodes_to_values(self):
+        rng = np.random.default_rng(5)
+        vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        q = quantize_measurements(vals, 32)
+        idx = np.frombuffer(q.payload, dtype=">u4").astype(np.float64)
+        step = 2.0 * q.scale / 2**32
+        deq = -q.scale + (idx + 0.5) * step
+        np.testing.assert_array_equal(q.values, deq[:8] + 1j * deq[8:])
+        assert float(np.max(np.abs(q.values - vals))) <= step
 
     @given(st.integers(min_value=1, max_value=14),
            st.integers(min_value=0, max_value=2**32 - 1))

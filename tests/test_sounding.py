@@ -93,7 +93,7 @@ class TestConventionalSounding:
             receive_ltf(x, h, snr_db=math.inf), receive_ltf(x, h, snr_db=None)
         )
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -300.5])
     def test_nan_and_minus_inf_snr_rejected(self, snr_db):
         h = generate_channel(PdpSpec.default(), 8, 2, 2, seed=1)
         x = transmit_ltf_conventional(LtfSequence.all_ones(8), p_matrix(2))
@@ -343,7 +343,7 @@ class TestPuncturedSounding:
             punctured_sound_and_estimate(h, alloc, ltf, math.inf).value,
             punctured_sound_and_estimate(h, alloc, ltf, None).value)
 
-    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -300.5])
     def test_nan_and_minus_inf_snr_rejected(self, snr_db):
         h = generate_channel(PdpSpec.default(), 16, 2, 2, seed=12)
         alloc = allocate_ltf(16, 2, seed=13)
