@@ -189,7 +189,7 @@ def lfsr_stream(seed: int, count: int) -> list[int]:
     _check_seed(seed)
     table = _lfsr_word_table()
     words = []
-    state = seed
+    state = int(seed)
     for _ in range(count):
         state = table[state]
         words.append(state)
@@ -207,7 +207,7 @@ def knuth_shuffle(n: int, seed: int) -> np.ndarray:
         raise ValueError(f"n must be in [1, {MAX_SHUFFLE_SIZE}], got {n}")
     _check_seed(seed)
     table = _lfsr_word_table()
-    state = seed
+    state = int(seed)
     perm = list(range(n))
     for i in range(n - 1, 0, -1):
         k = i + 1
