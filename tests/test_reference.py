@@ -2,9 +2,11 @@
 
 `reference_trials.json` holds, for the first 20 trials of four cases
 (threshold_4x2 with CoSaMP, model_4x2 with CoSaMP, model_4x2 with OMP,
-and model_4x2 with OMP on noisy, boosted, 8-bit quantized sounding), the
-exact solver outcome and the error figures. Numerical refactors must
-reproduce it:
+and model_4x2 with OMP on noisy, boosted, 8-bit quantized sounding) and
+the first 5 of a fifth (model_4x2 scaled to an 8x4 system with a
+1024-point DFT, CoSaMP with supports up to about 420 columns), the exact
+solver outcome and the error figures. Numerical refactors must reproduce
+it:
 
 - exactly: iterations, MAC count, converged flag, support size, kappa_used,
   kappa_realized and the significant support (entries of x_hat above
@@ -51,7 +53,15 @@ CASES = {
         "sounding": {"snr_db": 25, "power_mode": "boosted"},
         "feedback": {"quant_bits": 8},
     }),
+    # Converges in a few iterations on least squares of |T| up to ~420.
+    "large_1024_8x4": ("configs/model_4x2.yaml", {
+        "dims": {"n_dft": 1024, "n_t": 8, "n_r": 4},
+        "recovery": {"kappa": 140},
+        "sounding": {"n_kappa": 1024},
+        "feedback": {"n_tones": 996},
+    }),
 }
+TRIALS = {"large_1024_8x4": 5}  # cases run fewer than N_TRIALS trials
 
 
 def run_case(name: str) -> list[dict]:
@@ -65,7 +75,7 @@ def run_case(name: str) -> list[dict]:
         for section, fields in overrides.items()})
     validate_config(cfg)
     records = []
-    for trial in range(N_TRIALS):
+    for trial in range(TRIALS.get(name, N_TRIALS)):
         res = pipeline.run_experiment(cfg, pdp, trial)
         rec = res.recovery
         mags = np.abs(rec.x_hat)
@@ -112,7 +122,7 @@ def case_problems(expected: list[dict], actual: list[dict]) -> list[str]:
 def test_matches_reference(case):
     expected = json.loads(FIXTURE.read_text())[case]
     actual = run_case(case)
-    assert len(actual) == len(expected) == N_TRIALS
+    assert len(actual) == len(expected) == TRIALS.get(case, N_TRIALS)
     problems = case_problems(expected, actual)
     assert not problems, "\n".join(problems)
 
