@@ -32,7 +32,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 CHANNEL_CSV_HEADER = "domain,index,re_true,im_true,re_rec,im_rec"
-SWEEP_CSV_HEADER = "n_kappa,trial,mse,iterations,mac_count,converged"
+SWEEP_CSV_HEADER = "n_kappa,trial,mse,iterations,mac_count,converged,stop_reason"
 
 
 def _fmt(x) -> str:
@@ -100,6 +100,7 @@ def cmd_simulate(args) -> int:
         "recovery": {
             "iterations": res.recovery.iterations,
             "converged": res.recovery.converged,
+            "stop_reason": res.recovery.stop_reason,
             "mac_count": res.recovery.mac_count,
             "support_size": int(res.recovery.support.size),
             "residual_history": [float(r) for r in res.recovery.residual_history],
@@ -156,6 +157,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join([
             _fmt(row["n_kappa"]), _fmt(row["trial"]), _fmt(float(row["mse"])),
             _fmt(row["iterations"]), _fmt(row["mac_count"]), _fmt(row["converged"]),
+            row["stop_reason"],
         ]))
     path = os.path.join(cfg.output, "sweep.csv")
     _write_text(path, "\n".join(lines) + "\n")

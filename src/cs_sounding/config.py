@@ -245,6 +245,12 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
     if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:
         errors.append(f"feedback.ltf_duration_us: must be finite and positive, got {f.ltf_duration_us!r}")
+    elif dims_ok and _is(s.n_kappa, int):
+        # the longer NDP of the two schemes (see sounding.ndp_airtime)
+        symbols = max(d.n_t, -(-s.n_kappa // d.n_dft))
+        if not symbols * f.ltf_duration_us < math.inf:
+            errors.append(f"feedback.ltf_duration_us: {symbols} LTF symbols of "
+                          f"{f.ltf_duration_us!r} us overflow the airtime")
 
     if not _is(cfg.trials, int) or cfg.trials < 1:
         errors.append(f"trials: must be a positive integer, got {cfg.trials!r}")

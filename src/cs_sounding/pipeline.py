@@ -266,7 +266,8 @@ def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
     """Full per-trial result table over the measurement-count sweep.
 
     One row per (n_kappa, trial) in that order; solver failures are
-    recorded in the row rather than aborting the sweep.
+    recorded in the row (empty stop_reason, the message under "error")
+    rather than aborting the sweep.
     """
     if not n_kappa_list:
         raise ValueError("n_kappa_list must not be empty")
@@ -285,6 +286,7 @@ def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
                     "iterations": res.recovery.iterations,
                     "mac_count": res.recovery.mac_count,
                     "converged": res.recovery.converged,
+                    "stop_reason": res.recovery.stop_reason,
                 })
             except (sr.DegenerateSupport, sr.InsufficientMeasurements) as exc:
                 rows.append({
@@ -294,6 +296,7 @@ def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
                     "iterations": 0,
                     "mac_count": 0,
                     "converged": False,
+                    "stop_reason": "",
                     "error": str(exc),
                 })
     return rows

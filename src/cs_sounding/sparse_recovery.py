@@ -24,6 +24,7 @@ from . import numerics
 from .numerics import NotPositiveDefinite
 
 ALGORITHMS = ("cosamp", "omp")  # the solver functions of this module
+STOP_REASONS = ("converged", "cycled", "i_max", "kappa_reached")
 
 class InsufficientMeasurements(ValueError):
     """Fewer measurement rows than the solver needs (requires 2*kappa)."""
@@ -58,6 +59,7 @@ class SparseRecoveryResult:
     iterations: int
     mac_count: int
     converged: bool
+    stop_reason: str  # one of STOP_REASONS
 
 
 class _MacTally:
@@ -263,9 +265,17 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     Each iteration correlates the residual against the operator, lets
     `step` pick the new support and its least-squares coefficients (or
     None to keep the current estimate), and updates the residual as
-    y - Phi x_hat. Stops when the relative residual drops to cfg.tau,
-    after cfg.i_max iterations, or (stop_at_kappa) once the support holds
-    cfg.kappa atoms.
+    y - Phi x_hat. Stops when the relative residual drops to cfg.tau
+    ("converged"), (stop_at_kappa) once the support holds cfg.kappa atoms
+    ("kappa_reached"), when an iterate repeats ("cycled"), or after
+    cfg.i_max iterations ("i_max").
+
+    The next iterate is a function of the current (support, coefficients)
+    alone, so from a repeat on the run is periodic. A cycled run returns
+    the iterate the period puts at iteration cfg.i_max: the same x_hat,
+    support and converged flag as running out the cap, from fewer
+    iterations. Only the executed iterations are in the residual history
+    and the MAC tally.
     """
     n_kappa, n = phi.shape
     if 2 * cfg.kappa > n_kappa:
@@ -276,18 +286,22 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     if y.shape[0] != n_kappa:
         raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
     y_norm = float(np.linalg.norm(y))
-    x_hat = np.zeros(n, dtype=np.complex128)
     support = np.array([], dtype=np.intp)
+    b = np.array([], dtype=np.complex128)
     if y_norm == 0.0:
-        return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True)
+        return SparseRecoveryResult(np.zeros(n, dtype=np.complex128), support, [0.0],
+                                    0, 0, True, "converged")
 
     macs = _MacTally()
     r = y
     proxy = phi_h_y = phi.rmatvec(y)  # the first residual is y itself
     rel = 1.0
     history: list[float] = []
-    while len(history) < cfg.i_max and rel > cfg.tau:
-        if history:
+    iterates: list[tuple[np.ndarray, np.ndarray]] = []  # (support, b) per iteration
+    seen: dict[bytes, int] = {}  # iterate bytes -> its first iteration index
+    stop_reason = "i_max"
+    for it in range(cfg.i_max):
+        if it:
             proxy = phi.rmatvec(r)
         macs.add(n * n_kappa)
         picked = step(phi, y, phi_h_y, proxy, support, cfg.kappa, macs)
@@ -299,16 +313,29 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
             macs.add(n_kappa * support.size)
             rel = float(np.linalg.norm(r)) / y_norm
         history.append(rel)
-        if stop_at_kappa and support.size >= cfg.kappa and rel > cfg.tau:
-            break  # sparsity budget exhausted, no further progress possible
+        if rel <= cfg.tau:
+            stop_reason = "converged"
+            break
+        if stop_at_kappa and support.size >= cfg.kappa:
+            stop_reason = "kappa_reached"  # no further progress possible
+            break
+        first = seen.setdefault(support.tobytes() + b.tobytes(), it)
+        if first < it:
+            stop_reason = "cycled"
+            support, b = iterates[first + (cfg.i_max - 1 - first) % (it - first)]
+            break
+        iterates.append((support, b))
 
+    x_hat = np.zeros(n, dtype=np.complex128)
+    x_hat[support] = b
     return SparseRecoveryResult(
         x_hat=x_hat,
         support=support,
         residual_history=history,
         iterations=len(history),
         mac_count=macs.count,
-        converged=rel <= cfg.tau,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
     )
 
 
@@ -320,7 +347,10 @@ def cosamp(phi: MeasurementOperator, y: np.ndarray,
     2*kappa strongest candidates into the running support, least-squares
     fit on the merged set, prune back to the kappa largest coefficients,
     and update the residual. Stops when the relative residual drops to
-    cfg.tau or after cfg.i_max iterations.
+    cfg.tau, after cfg.i_max iterations, or as soon as an iterate repeats
+    an earlier one, returning what the cap would have returned (see
+    _pursuit). On noisy, quantized or thresholded data it seldom
+    converges but cycles within a few iterations.
     """
     return _pursuit(phi, y, cfg, _cosamp_step, stop_at_kappa=False)
 
@@ -331,7 +361,9 @@ def omp(phi: MeasurementOperator, y: np.ndarray,
 
     One support index per iteration (the strongest correlation not yet
     selected), no pruning, least squares over the accumulated support,
-    same stopping rule as cosamp. Stops early once the support holds
-    cfg.kappa atoms, since the estimate cannot grow further.
+    same stopping rules as cosamp. Stops early once the support holds
+    cfg.kappa atoms, since the estimate cannot grow further. An iteration
+    that finds no correlating atom keeps the previous iterate, so the run
+    ends as cycled.
     """
     return _pursuit(phi, y, cfg, _omp_step, stop_at_kappa=True)

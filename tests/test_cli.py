@@ -5,8 +5,10 @@ import json
 import pytest
 import yaml
 
+from cs_sounding import sparse_recovery as sr
 from cs_sounding.cli import CHANNEL_CSV_HEADER, SWEEP_CSV_HEADER, main
 from cs_sounding.config import ConfigError, config_from_dict, load_config, validate_config
+from cs_sounding.sparse_recovery import STOP_REASONS
 
 TINY_CONFIG = {
     "dims": {"n_dft": 64, "n_t": 2, "n_r": 2},
@@ -134,6 +136,7 @@ class TestConfig:
         ("feedback.quant_bits", 2000),
         ("feedback.ltf_duration_us", float("inf")),
         ("feedback.ltf_duration_us", float("nan")),
+        ("feedback.ltf_duration_us", 1e308),  # finite, but two symbols of it are not
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, field, value):
         section, key = field.split(".")
@@ -202,6 +205,7 @@ class TestSimulateCommand:
         assert result["status"] == "ok"
         assert result["mse"] < 1e-3
         assert result["recovery"]["iterations"] <= 40
+        assert result["recovery"]["stop_reason"] == "cycled"  # 10-bit feedback: no exact fit
         assert result["kappa_realized"] <= 20
         assert result["overhead"]["conventional"]["total_bits"] == 16 * 234
         lines = (out / "channel.csv").read_text().splitlines()
@@ -301,6 +305,19 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * TINY_CONFIG["trials"]
         first = lines[1].split(",")
         assert first[0] == "80" and first[1] == "0"
+        assert all(line.split(",")[-1] in STOP_REASONS for line in lines[1:])
+
+    def test_failed_rows_leave_stop_reason_empty(self, tmp_path, monkeypatch):
+        def degenerate(phi, y, cfg):
+            raise sr.DegenerateSupport("rank-deficient support")
+
+        monkeypatch.setattr(sr, "cosamp", degenerate)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", write_config(tmp_path, TINY_CONFIG),
+                   "--out", str(out), "--nkappa-list", "80"])
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[2], row[-1]) for row in rows] == [("nan", "")] * TINY_CONFIG["trials"]
 
     def test_median_recompute_from_csv(self, tmp_path):
         import statistics

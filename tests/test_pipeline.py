@@ -250,7 +250,7 @@ class TestSweep:
             (48, 0), (48, 1), (48, 2), (64, 0), (64, 1), (64, 2)
         ]
         assert all(set(r) >= {"n_kappa", "trial", "mse", "iterations",
-                              "mac_count", "converged"} for r in rows)
+                              "mac_count", "converged", "stop_reason"} for r in rows)
 
     def test_overdetermined_limit_tiny_error(self):
         cfg = base_config(

@@ -1,12 +1,19 @@
 """Tests for the greedy recovery solvers and the measurement operator."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cs_sounding import numerics as nm
+from cs_sounding import pipeline
+from cs_sounding import sparse_recovery as sr
+from cs_sounding.config import load_config
 from cs_sounding.sparse_recovery import (
+    STOP_REASONS,
     DegenerateSupport,
     InsufficientMeasurements,
     MeasurementOperator,
@@ -16,7 +23,7 @@ from cs_sounding.sparse_recovery import (
     omp,
     support_select,
 )
-from cs_sounding.sparse_recovery import _ColumnSubset
+from cs_sounding.sparse_recovery import _ColumnSubset, _cosamp_step, _MacTally
 from cs_sounding.numerics import NotPositiveDefinite
 
 
@@ -64,6 +71,43 @@ def planted_instance(rng, n, n_kappa, kappa, kron_dims=None):
 def first_dft_rows(n, n_rows):
     """The first n_rows rows of the size-n DFT, as kron(F_n, F_1) rows."""
     return MeasurementOperator.from_kron_rows(n, 1, np.arange(n_rows))
+
+
+def reference_cosamp(phi, y, cfg):
+    """CoSaMP without the repeat stop: _cosamp_step for exactly cfg.i_max
+    iterations unless the residual reaches cfg.tau first."""
+    y = np.asarray(y, dtype=complex)
+    phi_h_y, r = phi.rmatvec(y), y
+    support = np.array([], dtype=np.intp)
+    for _ in range(cfg.i_max):
+        support, b = _cosamp_step(phi, y, phi_h_y, phi.rmatvec(r), support,
+                                  cfg.kappa, _MacTally())
+        x_hat = np.zeros(phi.shape[1], dtype=complex)
+        x_hat[support] = b
+        r = y - phi.matvec(x_hat)
+        rel = float(np.linalg.norm(r)) / float(np.linalg.norm(y))
+        if rel <= cfg.tau:
+            break
+    return x_hat, support, rel <= cfg.tau
+
+
+@pytest.fixture(scope="module")
+def threshold_models():
+    """(operator, y, solver config) of the first 20 threshold_4x2 trials,
+    the shipped config whose CoSaMP runs never converge."""
+    cfg, pdp = load_config(str(Path(__file__).resolve().parent.parent
+                               / "configs" / "threshold_4x2.yaml"))
+    models = []
+
+    def capture(phi, y, solver_cfg):
+        models.append((phi, y, solver_cfg))
+        return cosamp(phi, y, solver_cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sr, "cosamp", capture)
+        for trial in range(20):
+            pipeline.run_experiment(cfg, pdp, trial)
+    return models
 
 
 @st.composite
@@ -236,6 +280,7 @@ class TestCosamp:
         cfg = RecoveryConfig(kappa=6, tau=1e-6)
         res = cosamp(phi, y, cfg)
         assert res.converged
+        assert res.stop_reason == "converged"
         assert res.residual_history[-1] <= cfg.tau
 
     def test_deterministic(self):
@@ -306,6 +351,32 @@ class TestCosamp:
         res = cosamp(phi, y, RecoveryConfig(kappa=2, tau=1e-9, i_max=7))
         assert res.iterations <= 7
         assert not res.converged
+        assert res.stop_reason in ("cycled", "i_max")
+
+    def test_stop_at_the_cap_before_any_repeat(self):
+        rng = np.random.default_rng(6)
+        phi = DenseOperator(random_complex(rng, 16, 64) / 4)
+        res = cosamp(phi, random_complex(rng, 16), RecoveryConfig(kappa=2, tau=1e-9, i_max=1))
+        assert res.iterations == 1 and len(res.residual_history) == 1
+        assert res.stop_reason == "i_max" and not res.converged
+
+    def test_repeat_stop_returns_the_iterate_at_the_cap(self, threshold_models):
+        # i_max 49 and 50 land on different phases of a period-2 cycle
+        phase_dependent = 0
+        for phi, y, cfg in threshold_models:
+            x_at = {}
+            for i_max in (49, 50):
+                at_cap = dataclasses.replace(cfg, i_max=i_max)
+                res = cosamp(phi, y, at_cap)
+                x_hat, support, converged = reference_cosamp(phi, y, at_cap)
+                assert res.x_hat.tobytes() == x_hat.tobytes()
+                assert res.support.tobytes() == support.tobytes()
+                assert res.converged == converged
+                assert res.stop_reason == "cycled" and res.iterations < i_max
+                assert len(res.residual_history) == res.iterations
+                x_at[i_max] = x_hat.tobytes()
+            phase_dependent += x_at[49] != x_at[50]
+        assert phase_dependent > 0
 
 
 class TestLeastSquaresPath:
@@ -366,7 +437,8 @@ class TestOmp:
         assert np.linalg.norm(res_omp.x_hat - res_cos.x_hat) < 1e-6
 
     def test_orthogonal_target_spins_to_cap(self):
-        # columns live in the first two coordinates, y in the third
+        # columns live in the first two coordinates, y in the third: no
+        # atom ever correlates, so the second iteration repeats the first
         mat = np.zeros((3, 4), dtype=complex)
         mat[0, :2] = 1.0
         mat[1, 2:] = 1.0
@@ -376,7 +448,35 @@ class TestOmp:
         res = omp(phi, y, cfg)
         assert res.support.size == 0
         assert not res.converged
-        assert res.iterations == 9
+        assert res.iterations == 2
+        assert res.stop_reason == "cycled"
+
+    def test_no_atom_left_keeps_the_last_fit(self):
+        # atom 0 explains y's first coordinate; its duplicate 1 and atom 2
+        # are then orthogonal to the residual, so the step returns None
+        mat = np.zeros((4, 3), dtype=complex)
+        mat[0, :2] = 1.0
+        mat[1, 2] = 1.0
+        y = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
+        res = omp(DenseOperator(mat), y, RecoveryConfig(kappa=2, tau=1e-6, i_max=20))
+        assert res.stop_reason == "cycled" and res.iterations == 2
+        assert res.support.tolist() == [0]
+        np.testing.assert_array_equal(res.x_hat, [1.0, 0.0, 0.0])
+        assert res.residual_history == pytest.approx([np.sqrt(0.5)] * 2)
+        assert not res.converged
+
+    def test_stops_once_the_budget_is_spent(self):
+        rng = np.random.default_rng(9)
+        phi = DenseOperator(random_complex(rng, 24, 48) / 5)
+        res = omp(phi, random_complex(rng, 24), RecoveryConfig(kappa=5, tau=1e-9))
+        assert res.stop_reason == "kappa_reached"
+        assert res.iterations == res.support.size == 5
+        assert not res.converged
+
+    def test_stop_reasons_are_documented_values(self, threshold_models):
+        phi, y, cfg = threshold_models[0]
+        for solver in (cosamp, omp):
+            assert solver(phi, y, cfg).stop_reason in STOP_REASONS
 
     def test_zero_measurements_short_circuit(self):
         phi = first_dft_rows(8, 4)
