@@ -19,9 +19,10 @@ Regenerate the file (only when a change of results is intended) with
 
     PYTHONPATH=src python tests/test_reference.py --write
 
-It reruns every case but rewrites only those missing from the file or
-failing the comparison above; the others keep their committed records, so
-rounding-level differences (noiseless mse near 1e-29) cause no churn.
+It reruns every case but rewrites only the cases missing from the file
+and, elsewhere, the fields failing the comparison above; every other
+field keeps its committed value, so rounding-level differences (noiseless
+mse near 1e-29) cause no churn.
 """
 
 import dataclasses
@@ -96,18 +97,18 @@ def run_case(name: str) -> list[dict]:
     return records
 
 
+def field_matches(key: str, want, got) -> bool:
+    if key in EXACT:
+        return want == got
+    if want is None or got is None:
+        return want is got
+    return abs(got - want) <= REL_TOL * abs(want) + ABS_TOL
+
+
 def mismatches(expected: dict, actual: dict) -> list[str]:
-    out = [f"{key}: expected {expected[key]!r}, got {actual[key]!r}"
-           for key in EXACT if expected[key] != actual[key]]
-    for key in CLOSE:
-        want, got = expected[key], actual[key]
-        if want is None or got is None:
-            ok = want is got
-        else:
-            ok = abs(got - want) <= REL_TOL * abs(want) + ABS_TOL
-        if not ok:
-            out.append(f"{key}: expected {want!r}, got {got!r}")
-    return out
+    return [f"{key}: expected {expected[key]!r}, got {actual[key]!r}"
+            for key in EXACT + CLOSE
+            if not field_matches(key, expected[key], actual[key])]
 
 
 def case_problems(expected: list[dict], actual: list[dict]) -> list[str]:
@@ -134,10 +135,18 @@ if __name__ == "__main__":
     data = {}
     for name in sorted(CASES):
         actual = run_case(name)
-        if name in committed and not case_problems(committed[name], actual):
-            data[name] = committed[name]
-        else:
+        expected = committed.get(name, [])
+        if len(expected) != len(actual):
             data[name] = actual
             print(f"rewrote case {name}")
+            continue
+        # keep every committed field that still matches, so the file
+        # changes only where the results did
+        data[name] = [{**a, **{key: e[key] for key in EXACT + CLOSE
+                               if field_matches(key, e[key], a[key])}}
+                      for e, a in zip(expected, actual)]
+        moved = sorted({problem.split(": ")[1] for problem in case_problems(expected, actual)})
+        if moved:
+            print(f"rewrote {', '.join(moved)} in case {name}")
     FIXTURE.write_text(json.dumps(data, indent=1) + "\n")
     print(f"wrote {FIXTURE}")
