@@ -286,11 +286,11 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     if y.shape[0] != n_kappa:
         raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
     y_norm = float(np.linalg.norm(y))
+    x_hat = np.zeros(n, dtype=np.complex128)
     support = np.array([], dtype=np.intp)
     b = np.array([], dtype=np.complex128)
     if y_norm == 0.0:
-        return SparseRecoveryResult(np.zeros(n, dtype=np.complex128), support, [0.0],
-                                    0, 0, True, "converged")
+        return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True, "converged")
 
     macs = _MacTally()
     r = y
@@ -323,11 +323,11 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         if first < it:
             stop_reason = "cycled"
             support, b = iterates[first + (cfg.i_max - 1 - first) % (it - first)]
+            x_hat.fill(0)
+            x_hat[support] = b
             break
         iterates.append((support, b))
 
-    x_hat = np.zeros(n, dtype=np.complex128)
-    x_hat[support] = b
     return SparseRecoveryResult(
         x_hat=x_hat,
         support=support,
