@@ -246,7 +246,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
     if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:
         errors.append(f"feedback.ltf_duration_us: must be finite and positive, got {f.ltf_duration_us!r}")
     elif dims_ok and _is(s.n_kappa, int):
-        # the longer NDP of the two schemes (see sounding.ndp_airtime)
+        # LTF symbols of the longer NDP (sounding.ndp_airtime); integer
+        # ceil, since a huge n_kappa / n_dft overflows a float
         symbols = max(d.n_t, -(-s.n_kappa // d.n_dft))
         if not symbols * f.ltf_duration_us < math.inf:
             errors.append(f"feedback.ltf_duration_us: {symbols} LTF symbols of "

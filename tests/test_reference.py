@@ -145,7 +145,8 @@ if __name__ == "__main__":
         data[name] = [{**a, **{key: e[key] for key in EXACT + CLOSE
                                if field_matches(key, e[key], a[key])}}
                       for e, a in zip(expected, actual)]
-        moved = sorted({problem.split(": ")[1] for problem in case_problems(expected, actual)})
+        moved = sorted({key for e, a in zip(expected, actual) for key in EXACT + CLOSE
+                        if not field_matches(key, e[key], a[key])})
         if moved:
             print(f"rewrote {', '.join(moved)} in case {name}")
     FIXTURE.write_text(json.dumps(data, indent=1) + "\n")
