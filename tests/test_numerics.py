@@ -274,3 +274,28 @@ class TestSolveGram:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             nm.solve_gram(np.eye(3), np.ones(2))
+
+    @staticmethod
+    def _gram_system(n):
+        """A^H A and A^H y for a seeded 2n x n complex Gaussian A."""
+        rng = np.random.default_rng(29 + n)
+        a = random_complex(rng, 2 * n, n)
+        return a.conj().T @ a, a.conj().T @ random_complex(rng, 2 * n)
+
+    @pytest.mark.parametrize("n", [1, 48, 49, 105, 128, 129, 200, 420])
+    def test_solves_both_sides_of_the_cutoff(self, n):
+        gram, rhs = self._gram_system(n)
+        b = nm.solve_gram(gram, rhs)
+        assert np.linalg.norm(gram @ b - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        ref = np.linalg.solve(gram, rhs)
+        assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_near_duplicate_column_names_its_pivot(self):
+        # Column 150 repeats column 30 up to a 3e-7 perturbation: its squared
+        # pivot (~5e-11) is positive but below the tolerance (~8e-10), so
+        # the rank test, not LAPACK, rejects it and names the index.
+        rng = np.random.default_rng(5)
+        a = random_complex(rng, 400, 200)
+        a[:, 150] = a[:, 30] + 3e-7 * random_complex(rng, 400)
+        with pytest.raises(NotPositiveDefinite, match=r"at index 150 "):
+            nm.solve_gram(a.conj().T @ a, np.ones(200))
