@@ -248,6 +248,17 @@ def _selfcheck_checks(corrupt_p: bool):
         cols = op.columns(idx)
         return np.max(np.abs(op.gram(idx) - cols.conj().T @ cols)) < 1e-12
 
+    def check_gram_solve():
+        # 140 columns: above numerics.GRAM_FACTOR_REUSE_ABOVE, so the solve
+        # reuses the Cholesky factor.
+        rng = np.random.default_rng(13)
+        op = MeasurementOperator(64, 4, rng.choice(64 * 4, 240, replace=False))
+        idx = np.sort(rng.choice(64 * 4, 140, replace=False))
+        y = rng.standard_normal(240) + 1j * rng.standard_normal(240)
+        b = numerics.solve_gram(op.gram(idx), op.rmatvec(y)[idx])
+        ref = np.linalg.lstsq(op.columns(idx), y, rcond=None)[0]
+        return np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
+
     def check_unitary_transform():
         f = numerics.dft_matrix(16)
         return float(np.max(np.abs(f.conj().T @ f - np.eye(16)))) < 1e-12
@@ -261,6 +272,7 @@ def _selfcheck_checks(corrupt_p: bool):
         ("dft_unitarity", check_unitary_transform),
         ("operator_columns", check_operator_columns),
         ("operator_gram", check_operator_gram),
+        ("gram_solve", check_gram_solve),
     ]
 
 

@@ -8,9 +8,9 @@ delay and space differences, so the operator keeps one Gram table (the
 2-D DFT of the mask) and the restricted least squares gathers its Gram
 matrix from it: the solvers never form a column block. Each least-squares
 step hands numerics.solve_normal_equations that Gram matrix and the
-precomputed Phi^H y (a Cholesky rank check, then one solve), and every
-solver run carries a complex multiply-accumulate tally of the textbook
-dense-Gram cost.
+precomputed Phi^H y (a Cholesky rank check, then a solve that reuses the
+factor on large column sets), and every solver run carries a complex
+multiply-accumulate tally of the textbook dense-Gram cost.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray, y: np.ndarray
     macs.add(n_kappa * m * m)        # Gram matrix
     macs.add(n_kappa * m)            # right-hand side
     macs.add(math.ceil(m**3 / 3))    # Cholesky
-    macs.add(m * m)                  # solve, booked as two triangular solves
+    macs.add(m * m)                  # two triangular solves with the factor (done
+                                     # above numerics' cutoff; an LU solve below)
     return numerics.solve_normal_equations(_ColumnSubset(phi, t_set, y, phi_h_y), y)
 
 
@@ -285,6 +286,8 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     y = np.asarray(y, dtype=np.complex128)
     if y.shape[0] != n_kappa:
         raise ValueError(f"y has length {y.shape[0]}, operator has {n_kappa} rows")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite (it holds NaN or inf)")
     y_norm = float(np.linalg.norm(y))
     x_hat = np.zeros(n, dtype=np.complex128)
     support = np.array([], dtype=np.intp)

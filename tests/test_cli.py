@@ -379,7 +379,7 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         for name in ("p_matrix_orthogonality", "kron_path_consistency",
                      "givens_roundtrip", "angle_bits_table",
-                     "allocation_partition", "operator_columns", "operator_gram"):
+                     "allocation_partition", "operator_columns", "operator_gram", "gram_solve"):
             assert f"{name}: ok" in out
 
     def test_corrupted_p_matrix_fails(self, capsys):

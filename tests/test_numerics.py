@@ -169,6 +169,18 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             nm.cholesky(np.zeros((3, 3), dtype=complex))
 
+    def test_nan_entry_raises(self):
+        # LAPACK returns a factor whose rows from 2 on are NaN instead of
+        # failing; the trace, and so the tolerance, stays finite.
+        a = np.eye(4, dtype=complex)
+        a[2, 1] = a[1, 2] = np.nan
+        with pytest.raises(NotPositiveDefinite, match="at index 2 "):
+            nm.cholesky(a)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            nm.cholesky(np.zeros((0, 0), dtype=complex))
+
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         b = random_complex(rng, 8, 8)
@@ -289,6 +301,23 @@ class TestSolveGram:
         assert np.linalg.norm(gram @ b - rhs) <= 1e-10 * np.linalg.norm(rhs)
         ref = np.linalg.solve(gram, rhs)
         assert np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_factor_reused_only_above_the_cutoff(self, monkeypatch, above):
+        n = nm.GRAM_FACTOR_REUSE_ABOVE + above
+        gram, rhs = self._gram_system(n)
+        widths, solve = [], np.linalg.solve
+
+        def spy(a, b):
+            widths.append(a.shape[-1])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        nm.solve_gram(gram, rhs)
+        if above:
+            assert widths and max(widths) <= nm._SUBSTITUTION_LEAF
+        else:
+            assert widths == [n]
 
     def test_near_duplicate_column_names_its_pivot(self):
         # Column 150 repeats column 30 up to a 3e-7 perturbation: its squared

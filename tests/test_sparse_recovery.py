@@ -68,6 +68,14 @@ def planted_instance(rng, n, n_kappa, kappa, kron_dims=None):
     return phi, x0, phi.matvec(x0)
 
 
+def measurement_with(value):
+    """A 64x2 Kronecker operator with 40 rows and a planted kappa=5
+    measurement whose entry 7 is replaced by `value`."""
+    phi, _, y = planted_instance(np.random.default_rng(3), 128, 40, 5, kron_dims=(64, 2))
+    y[7] = value
+    return phi, y
+
+
 def first_dft_rows(n, n_rows):
     """The first n_rows rows of the size-n DFT, as kron(F_n, F_1) rows."""
     return MeasurementOperator.from_kron_rows(n, 1, np.arange(n_rows))
@@ -265,6 +273,12 @@ class TestCosamp:
         phi = first_dft_rows(16, 8)
         with pytest.raises(InsufficientMeasurements):
             cosamp(phi, np.ones(8), RecoveryConfig(kappa=5))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_measurements_rejected(self, value):
+        phi, y = measurement_with(value)
+        with pytest.raises(ValueError, match="finite"):
+            cosamp(phi, y, RecoveryConfig(kappa=5))
 
     def test_x_hat_exactly_zero_off_support(self):
         rng = np.random.default_rng(1)
@@ -482,6 +496,12 @@ class TestOmp:
         phi = first_dft_rows(8, 4)
         res = omp(phi, np.zeros(4), RecoveryConfig(kappa=1))
         assert res.converged and res.iterations == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_measurements_rejected(self, value):
+        phi, y = measurement_with(value)
+        with pytest.raises(ValueError, match="finite"):
+            omp(phi, y, RecoveryConfig(kappa=5))
 
     def test_support_never_exceeds_kappa(self):
         rng = np.random.default_rng(9)
