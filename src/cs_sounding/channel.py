@@ -127,15 +127,12 @@ class ChannelRealization:
         """
         h_2d = np.asarray(h_2d, dtype=np.complex128)
         h_time = np.fft.fft(h_2d, axis=1, norm="ortho")
-        return cls(n_dft, n_t, n_r, h_time, numerics.fft_columns(h_time), h_2d, seed)
+        h_freq = np.fft.fft(h_time, axis=0, norm="ortho")
+        return cls(n_dft, n_t, n_r, h_time, h_freq, h_2d, seed)
 
     @property
     def n_s(self) -> int:
         return self.n_t * self.n_r
-
-    def tone_matrix(self, k: int) -> np.ndarray:
-        """Frequency response at tone k as an (n_r, n_t) matrix."""
-        return self.h_freq[k].reshape(self.n_r, self.n_t)
 
 
 def bin_pdp(pdp: PdpSpec) -> list[tuple[int, float]]:
@@ -176,9 +173,9 @@ def generate_channel(pdp: PdpSpec, n_dft: int, n_t: int, n_r: int,
              1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
         colored = l_rx @ g @ l_tx.T
         h_time[d, :] = math.sqrt(p) * colored.reshape(-1)
+    h_freq = np.fft.fft(h_time, axis=0, norm="ortho")
     h_2d = np.fft.ifft(h_time, axis=1, norm="ortho")  # inverse DFT across space
-    return ChannelRealization(n_dft, n_t, n_r, h_time, numerics.fft_columns(h_time),
-                              h_2d, seed)
+    return ChannelRealization(n_dft, n_t, n_r, h_time, h_freq, h_2d, seed)
 
 
 def threshold_taps(h: ChannelRealization, floor_db: float) -> ChannelRealization:

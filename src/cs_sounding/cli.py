@@ -5,7 +5,7 @@ experiment, writes result.json and channel.csv), `sweep` (measurement
 count sweep, writes sweep.csv), `overhead` (feedback-bit and airtime
 comparison, writes overhead.json), and `selfcheck` (fast invariant suite).
 Outputs are byte-deterministic for a given config. Exit codes: 0 ok,
-2 config error, 3 solver failure.
+2 config error (an unwritable output path included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -45,9 +45,12 @@ def _fmt(x) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {path!r}: {exc}") from exc
 
 
 def _write_json(path: str, obj) -> None:
@@ -72,11 +75,7 @@ def _load(args):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg, pdp = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, pdp = _load(args)
     outdir = cfg.output
     try:
         res = pipeline.run_experiment(cfg, pdp, trial=0)
@@ -133,23 +132,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    cfg, pdp = _load(args)
     try:
-        cfg, pdp = _load(args)
+        nk_list = [int(tok) for tok in args.nkappa_list.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--nkappa-list: {exc}") from exc
+    if not nk_list:
+        raise ConfigError("--nkappa-list: must give at least one value")
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    for n_kappa in nk_list:
         try:
-            nk_list = [int(tok) for tok in args.nkappa_list.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--nkappa-list: {exc}") from exc
-        if not nk_list:
-            raise ConfigError("--nkappa-list: must give at least one value")
-        base_dir = os.path.dirname(os.path.abspath(args.config))
-        for n_kappa in nk_list:
-            try:
-                validate_config(cfg.with_n_kappa(n_kappa), base_dir)
-            except ConfigError as exc:
-                raise ConfigError(f"--nkappa-list: value {n_kappa}: {exc}") from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+            validate_config(cfg.with_n_kappa(n_kappa), base_dir)
+        except ConfigError as exc:
+            raise ConfigError(f"--nkappa-list: value {n_kappa}: {exc}") from exc
 
     rows = pipeline.sweep_nkappa(cfg, nk_list, cfg.trials, pdp)
     lines = [SWEEP_CSV_HEADER]
@@ -166,11 +161,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_overhead(args) -> int:
-    try:
-        cfg, _ = _load(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, _ = _load(args)
     d = cfg.dims
     conv, prop = pipeline.overhead_report(
         d.n_t, d.n_r, cfg.feedback.mode, cfg.sounding.n_kappa, d.n_dft,
@@ -329,7 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

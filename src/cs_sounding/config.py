@@ -15,8 +15,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
-from .channel import PdpSpec, bin_pdp
+from .channel import PdpSpec, SpatialCorrelation, bin_pdp
 from .feedback import ANGLE_BIT_WIDTHS, MAX_QUANT_BITS
+from .numerics import NotPositiveDefinite
 from .sounding import MAX_SHUFFLE_SIZE, MIN_SNR_DB, POWER_MODES
 from .sparse_recovery import ALGORITHMS
 
@@ -267,6 +268,13 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             errors.append(f"output: {existing!r} is a file, not a directory")
 
     if not errors:
+        corr = SpatialCorrelation(cfg.correlation.rho_tx, cfg.correlation.rho_rx)
+        for name, root, n in (("correlation.rho_tx", corr.tx_root, d.n_t),
+                              ("correlation.rho_rx", corr.rx_root, d.n_r)):
+            try:  # the factorization generate_channel does, same rank test
+                root(n)
+            except NotPositiveDefinite as exc:
+                errors.append(f"{name}: too close to 1 for {n} antennas: {exc}")
         try:
             pdp = cfg.resolve_pdp(base_dir)
             bins = bin_pdp(pdp)

@@ -1,13 +1,14 @@
 """Complex linear algebra and transform kernels.
 
-Unitary FFTs (numpy's, norm="ortho"), explicit DFT matrices and single
-rows of the tone-by-space Kronecker transform (an independent reference
-path for the FFTs), and the least squares used inside the greedy recovery
-solvers: `solve_gram` takes a Gram matrix and right-hand side, checks the
-rank with a LAPACK Cholesky factorization and a tolerance on its pivots,
-then solves the Gram system. Above GRAM_FACTOR_REUSE_ABOVE columns it
-reuses that factor L for two blocked substitutions (L, then L^H); at or
-below it one LAPACK LU solve is faster and stays.
+Unitary 2-D FFTs of the delay/space grid (numpy's, norm="ortho"),
+explicit DFT matrices and single rows of the tone-by-space Kronecker
+transform (an independent reference path for the FFTs), and the least
+squares used inside the greedy recovery solvers: `solve_gram` takes a
+Gram matrix and right-hand side, checks the rank with a LAPACK Cholesky
+factorization and a tolerance on its pivots, then solves the Gram system.
+Above GRAM_FACTOR_REUSE_ABOVE columns it reuses that factor L for two
+blocked substitutions (L, then L^H); at or below it one LAPACK LU solve is
+faster and stays.
 `solve_normal_equations` gets the Gram system of a column block, explicit
 or implicit, and hands it to `solve_gram`. All transforms use the unitary
 convention (1/sqrt(N) on both directions), so Parseval holds and
@@ -58,19 +59,6 @@ def dft_row(n: int, k: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (k * np.arange(n)) / n) / math.sqrt(n)
 
 
-def _transform(a: np.ndarray, inverse: bool, axes) -> np.ndarray:
-    """Unitary (norm="ortho") complex128 DFT over the given axes."""
-    a = np.asarray(a, dtype=np.complex128)
-    if inverse:
-        return np.fft.ifftn(a, axes=axes, norm="ortho")
-    return np.fft.fftn(a, axes=axes, norm="ortho")
-
-
-def fft_columns(a: np.ndarray) -> np.ndarray:
-    """Unitary forward DFT of each column of a 2-D array."""
-    return _transform(np.atleast_2d(a), False, (0,))
-
-
 def fft2d(h: np.ndarray) -> np.ndarray:
     """Two-sided transform F_rows @ h @ F_cols with unitary DFT factors.
 
@@ -80,14 +68,14 @@ def fft2d(h: np.ndarray) -> np.ndarray:
     """
     if np.ndim(h) != 2:
         raise ValueError("fft2d expects a 2-D array")
-    return _transform(h, False, (0, 1))
+    return np.fft.fft2(np.asarray(h, dtype=np.complex128), norm="ortho")
 
 
 def ifft2d(h: np.ndarray) -> np.ndarray:
     """Two-sided inverse transform F^H @ h @ F^H; inverse of fft2d."""
     if np.ndim(h) != 2:
         raise ValueError("ifft2d expects a 2-D array")
-    return _transform(h, True, (0, 1))
+    return np.fft.ifft2(np.asarray(h, dtype=np.complex128), norm="ortho")
 
 
 def kron_row(model_dims: tuple[int, int], row_index: int) -> np.ndarray:

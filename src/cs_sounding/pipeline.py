@@ -40,12 +40,6 @@ class MeasurementModel:
     def n_s(self) -> int:
         return self.n_t * self.n_r
 
-    def decode_row(self, row: int) -> tuple[int, int, int]:
-        """Map a Kronecker row index back to (tone, tx, rx)."""
-        k, s = divmod(int(row), self.n_s)
-        m, tx = divmod(s, self.n_t)
-        return k, tx, m
-
 
 @dataclass(frozen=True)
 class TrialSeeds:

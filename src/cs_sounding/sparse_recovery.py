@@ -118,10 +118,6 @@ class MeasurementOperator:
     def shape(self) -> tuple[int, int]:
         return self.row_indices.size, math.prod(self.dims)
 
-    def row(self, i: int) -> np.ndarray:
-        """Row i built independently by numerics.kron_row (test oracle)."""
-        return numerics.kron_row(self.dims, int(self.row_indices[i]))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return numerics.fft2d(np.reshape(x, self.dims)).ravel()[self.row_indices]
 

@@ -101,6 +101,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/config.yaml")
 
+    @pytest.mark.parametrize("field", ["rho_tx", "rho_rx"])
+    def test_correlation_the_channel_cannot_factor(self, tmp_path, capsys, field):
+        # in [0, 1), but the 2x2 matrix's second pivot (2e-13) fails the
+        # rank tolerance the channel draw factors it with
+        data = dict(TINY_CONFIG, correlation=dict(TINY_CONFIG["correlation"],
+                                                  **{field: 0.9999999999999}))
+        with pytest.raises(ConfigError, match=rf"correlation\.{field}: .*pivot"):
+            validate_config(config_from_dict(data))
+        out = tmp_path / "out"
+        for command in (["simulate"], ["sweep", "--nkappa-list", "80"]):
+            rc = main([*command, "--config", write_config(tmp_path, data), "--out", str(out)])
+            assert rc == 2
+            assert f"correlation.{field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", [
         "dims.n_dft", "dims.n_t", "dims.n_r",
         "correlation.rho_tx", "correlation.rho_rx",
@@ -260,6 +274,19 @@ class TestSimulateCommand:
         assert rc == 2
         assert "output" in capsys.readouterr().err
         assert taken.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("command, name", [
+        (["simulate"], "result.json"), (["sweep", "--nkappa-list", "80"], "sweep.csv"),
+        (["overhead"], "overhead.json")])
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        rc = main([*command, "--config", write_config(tmp_path, TINY_CONFIG),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "output" in err and name in err
+        assert "Traceback" not in err
 
     def test_algorithm_override(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CONFIG)

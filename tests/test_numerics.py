@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cs_sounding import numerics as nm
+from cs_sounding.channel import ChannelRealization
 from cs_sounding.numerics import NotPositiveDefinite
 
 
@@ -43,12 +44,14 @@ class TestDftMatrix:
 
 
 def column_fft(v):
-    """fft_columns applied to v as a single column."""
-    return nm.fft_columns(np.asarray(v)[:, None])[:, 0]
+    """The frequency view that ChannelRealization.from_2d builds for a single
+    space column, where the space-axis transform is the identity."""
+    return ChannelRealization.from_2d(len(v), 1, 1, np.asarray(v)[:, None]).h_freq[:, 0]
 
 
 class TestFft:
-    """The unitary transform along the tone axis, one column at a time."""
+    """The unitary transform along the tone axis that builds the channel's
+    frequency view, one column at a time."""
 
     def test_zeros(self):
         np.testing.assert_array_equal(column_fft(np.zeros(8)), np.zeros(8))

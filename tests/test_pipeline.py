@@ -62,7 +62,8 @@ class TestBuildMeasurementModel:
         assert len(np.unique(model.selected_rows)) == 200
         assert model.y.size == 200
         for row in model.selected_rows:
-            tone, tx, rx = model.decode_row(row)
+            tone, s = divmod(int(row), model.n_s)
+            rx, tx = divmod(s, model.n_t)
             assert alloc.assignment[tone] == tx
             assert 0 <= rx < 2
 
@@ -80,7 +81,8 @@ class TestBuildMeasurementModel:
         model = pl.build_measurement_model(h, alloc, 32, subsample_seed=8)
         tones = {}
         for row in model.selected_rows:
-            tone, _, rx = model.decode_row(row)
+            tone, s = divmod(int(row), model.n_s)
+            rx = s // model.n_t
             tones.setdefault(tone, set()).add(rx)
         assert all(rxs == {0, 1} for rxs in tones.values())
 
@@ -105,7 +107,7 @@ class TestBuildMeasurementModel:
         alloc = allocate_ltf(32, 2, seed=5, usable_tones=usable)
         model = pl.build_measurement_model(h, alloc, 30, subsample_seed=2)
         for row in model.selected_rows:
-            tone, _, _ = model.decode_row(row)
+            tone = int(row) // model.n_s
             assert tone in usable
 
 
@@ -140,7 +142,8 @@ class TestRecoverChannel:
         res = pl.run_experiment(cfg, trial=1)
         rec = res.recovered
         np.testing.assert_allclose(nm.fft2d(rec.h_2d), rec.h_freq, atol=1e-10)
-        np.testing.assert_allclose(nm.fft_columns(rec.h_time), rec.h_freq, atol=1e-10)
+        np.testing.assert_allclose(nm.dft_matrix(rec.n_dft) @ rec.h_time, rec.h_freq,
+                                   atol=1e-10)
 
     def test_omp_path(self):
         cfg = base_config(recovery={"kappa": 50, "algorithm": "omp", "i_max": 60})
@@ -163,7 +166,7 @@ class TestMse:
         h_time = h_2d @ f_s
         from cs_sounding.channel import ChannelRealization
         return ChannelRealization(n_dft, n_s, 1, h_time,
-                                  nm.fft_columns(h_time), h_2d)
+                                  nm.dft_matrix(n_dft) @ h_time, h_2d)
 
     def test_identical_is_zero(self):
         h = self._realization([[1.0, 2.0], [0.5, 0.0]])
