@@ -31,8 +31,6 @@ from .numerics import (
     NotPositiveDefinite,
     cholesky,
     dft_matrix,
-    fft2d,
-    ifft2d,
     kron_row,
     solve_normal_equations,
 )

@@ -4,8 +4,10 @@ Four commands, all driven by a YAML/JSON config file: `simulate` (one
 experiment, writes result.json and channel.csv), `sweep` (measurement
 count sweep, writes sweep.csv), `overhead` (feedback-bit and airtime
 comparison, writes overhead.json), and `selfcheck` (fast invariant suite).
-Outputs are byte-deterministic for a given config. Exit codes: 0 ok,
-2 config error (an unwritable output path included), 3 solver failure.
+Overrides (`--seed`, `--out`, `--algorithm`) replace the file's values
+before validation. Outputs are byte-deterministic for a given config and
+BLAS thread count. Exit codes: 0 ok, 2 config error (an unwritable output
+path included), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import feedback as fb
 from . import numerics
 from . import pipeline
 from . import sounding as snd
-from .config import ConfigError, load_config, validate_config
+from .config import ConfigError, read_config, validate_config
 from .sparse_recovery import (
     ALGORITHMS, DegenerateSupport, InsufficientMeasurements, MeasurementOperator,
 )
@@ -68,10 +70,11 @@ def _apply_overrides(cfg, args):
 
 
 def _load(args):
-    cfg, pdp = load_config(args.config)
-    cfg = _apply_overrides(cfg, args)
-    validate_config(cfg, os.path.dirname(os.path.abspath(args.config)))
-    return cfg, pdp
+    """The config file with the command-line overrides applied, validated once."""
+    cfg = _apply_overrides(read_config(args.config), args)
+    base_dir = os.path.dirname(os.path.abspath(args.config))
+    validate_config(cfg, base_dir)
+    return cfg, cfg.resolve_pdp(base_dir)
 
 
 def cmd_simulate(args) -> int:
@@ -184,12 +187,10 @@ def cmd_overhead(args) -> int:
     return EXIT_OK
 
 
-def _selfcheck_checks(corrupt_p: bool):
+def _selfcheck_checks():
     def check_p_orthogonality():
         for n in (2, 4):
-            p = snd.p_matrix(n).entries.copy()
-            if corrupt_p:
-                p[0, 0] = -p[0, 0]
+            p = snd.p_matrix(n).entries
             if not np.array_equal(p @ p.T, n * np.eye(n, dtype=np.int64)):
                 return False
         return True
@@ -269,7 +270,7 @@ def _selfcheck_checks(corrupt_p: bool):
 
 def cmd_selfcheck(args) -> int:
     failures = 0
-    for name, check in _selfcheck_checks(args.corrupt_p):
+    for name, check in _selfcheck_checks():
         try:
             ok = check()
         except Exception as exc:  # a crashed check is a failed check
@@ -289,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="YAML/JSON config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="YAML/JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override master_seed")
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument("--algorithm", choices=ALGORITHMS, default=None,
@@ -311,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.set_defaults(func=cmd_overhead)
 
     p_check = sub.add_parser("selfcheck", help="run the fast invariant suite")
-    p_check.add_argument("--corrupt-p", action="store_true",
-                         help="debug: corrupt a mapping-matrix entry to prove "
-                              "the orthogonality check can fail")
     p_check.set_defaults(func=cmd_selfcheck)
     return parser
 

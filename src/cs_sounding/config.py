@@ -289,8 +289,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         raise ConfigError("; ".join(errors))
 
 
-def load_config(path: str) -> tuple[ExperimentConfig, PdpSpec]:
-    """Parse and fully validate a config file; returns (config, pdp).
+def read_config(path: str) -> ExperimentConfig:
+    """Parse a config file into its sections, without cross-field checks.
 
     JSON is tried first (PyYAML reads scientific-notation floats like 1e-06
     as strings, so JSON input must get real JSON semantics), then YAML.
@@ -309,7 +309,12 @@ def load_config(path: str) -> tuple[ExperimentConfig, PdpSpec]:
             raise ConfigError(
                 f"config file {path!r} is not valid YAML/JSON: {exc}"
             ) from exc
-    cfg = config_from_dict(data)
+    return config_from_dict(data)
+
+
+def load_config(path: str) -> tuple[ExperimentConfig, PdpSpec]:
+    """Read and fully validate a config file; returns (config, pdp)."""
+    cfg = read_config(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     validate_config(cfg, base_dir)
     return cfg, cfg.resolve_pdp(base_dir)

@@ -1,18 +1,17 @@
-"""Complex linear algebra and transform kernels.
+"""Complex linear algebra kernels that numpy lacks.
 
-Unitary 2-D FFTs of the delay/space grid (numpy's, norm="ortho"),
-explicit DFT matrices and single rows of the tone-by-space Kronecker
-transform (an independent reference path for the FFTs), and the least
-squares used inside the greedy recovery solvers: `solve_gram` takes a
-Gram matrix and right-hand side, checks the rank with a LAPACK Cholesky
-factorization and a tolerance on its pivots, then solves the Gram system.
+Explicit DFT matrices and single rows of the tone-by-space Kronecker
+transform (an independent reference path for numpy's unitary FFTs), and
+the least squares used inside the greedy recovery solvers: `solve_gram`
+takes a Gram matrix and right-hand side, checks the rank with a LAPACK
+Cholesky factorization and a tolerance on its pivots, then solves it.
 Above GRAM_FACTOR_REUSE_ABOVE columns it reuses that factor L for two
 blocked substitutions (L, then L^H); at or below it one LAPACK LU solve is
 faster and stays.
 `solve_normal_equations` gets the Gram system of a column block, explicit
-or implicit, and hands it to `solve_gram`. All transforms use the unitary
-convention (1/sqrt(N) on both directions), so Parseval holds and
-Kronecker rows are unit norm.
+or implicit, and hands it to `solve_gram`. The DFT rows use the unitary
+convention (1/sqrt(N)), as numpy's norm="ortho" FFTs do, so Parseval
+holds and Kronecker rows are unit norm.
 """
 
 from __future__ import annotations
@@ -57,25 +56,6 @@ def dft_row(n: int, k: int) -> np.ndarray:
     if not 0 <= k < n:
         raise IndexError(f"row {k} out of range for size {n}")
     return np.exp(-2j * np.pi * (k * np.arange(n)) / n) / math.sqrt(n)
-
-
-def fft2d(h: np.ndarray) -> np.ndarray:
-    """Two-sided transform F_rows @ h @ F_cols with unitary DFT factors.
-
-    Maps the doubly-transformed delay/space-index grid back to the
-    tone/space grid (the DFT matrices are symmetric, so right-multiplying
-    transforms the rows). Inverse of ifft2d.
-    """
-    if np.ndim(h) != 2:
-        raise ValueError("fft2d expects a 2-D array")
-    return np.fft.fft2(np.asarray(h, dtype=np.complex128), norm="ortho")
-
-
-def ifft2d(h: np.ndarray) -> np.ndarray:
-    """Two-sided inverse transform F^H @ h @ F^H; inverse of fft2d."""
-    if np.ndim(h) != 2:
-        raise ValueError("ifft2d expects a 2-D array")
-    return np.fft.ifft2(np.asarray(h, dtype=np.complex128), norm="ortho")
 
 
 def kron_row(model_dims: tuple[int, int], row_index: int) -> np.ndarray:

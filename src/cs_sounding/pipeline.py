@@ -73,7 +73,7 @@ def kron_consistency_check(h: np.ndarray) -> float:
     """
     h = np.asarray(h, dtype=np.complex128)
     n_rows, n_cols = h.shape
-    two_sided = numerics.fft2d(h).ravel()
+    two_sided = np.fft.fft2(h, norm="ortho").ravel()
     vec = h.ravel()
     worst = 0.0
     for row in range(n_rows * n_cols):

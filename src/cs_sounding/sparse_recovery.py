@@ -82,8 +82,9 @@ class MeasurementOperator:
     Row k*n_s + s, column n*n_s + v holds F_n_dft[k, n] * F_n_s[s, v], as in
     numerics.kron_row. The matrix is never materialized: matvec is a 2-D FFT
     of the (n_dft, n_s) grid followed by a gather of the selected rows,
-    rmatvec scatters into that grid and applies the inverse 2-D FFT, and
-    columns evaluates entries in closed form from root-of-unity tables.
+    rmatvec scatters into that grid and applies the inverse 2-D FFT (numpy's
+    unitary transforms), and columns, which the solvers never call,
+    evaluates entries in closed form from root-of-unity tables.
 
     gram(T) == columns(T)^H columns(T) is gathered from a table computed
     once: entry (i, j) is g[(n_j - n_i) mod n_dft, (v_j - v_i) mod n_s] for
@@ -99,15 +100,12 @@ class MeasurementOperator:
                              f"[0, {n_dft * n_s}) for dims ({n_dft}, {n_s})")
         self.dims = (n_dft, n_s)
         self.row_indices = rows
-        self._tone, self._space = np.divmod(rows, n_s)
-        # F_n[k, m] == F_n[1, (k*m) mod n]; for n == 1 the table is row 0.
-        self._roots_dft, self._roots_s = (numerics.dft_row(n, 1 % n) for n in self.dims)
-        mask = np.zeros(self.dims)
+        mask = np.zeros(self.dims, dtype=np.complex128)
         mask.flat[rows] = 1.0
         # Tiled twice along each axis, so a column pair's cell is the plain
         # difference of their grid coordinates plus a fixed offset (no mod).
-        self._gram_table = np.tile(numerics.fft2d(mask) / math.sqrt(n_dft * n_s),
-                                   (2, 2)).ravel()
+        g = np.fft.fft2(mask, norm="ortho") / math.sqrt(n_dft * n_s)
+        self._gram_table = np.tile(g, (2, 2)).ravel()
         self._gram_offset = n_dft * 2 * n_s + n_s
 
     @classmethod
@@ -119,19 +117,24 @@ class MeasurementOperator:
         return self.row_indices.size, math.prod(self.dims)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return numerics.fft2d(np.reshape(x, self.dims)).ravel()[self.row_indices]
+        # The cast keeps complex64 input from a single-precision transform.
+        grid = np.reshape(np.asarray(x, dtype=np.complex128), self.dims)
+        return np.fft.fft2(grid, norm="ortho").ravel()[self.row_indices]
 
     def rmatvec(self, r: np.ndarray) -> np.ndarray:
         """Adjoint application: Phi^H r."""
         grid = np.zeros(self.dims, dtype=np.complex128)
         grid.flat[self.row_indices] = r
-        return numerics.ifft2d(grid).ravel()
+        return np.fft.ifft2(grid, norm="ortho").ravel()
 
     def columns(self, idx) -> np.ndarray:
         n_dft, n_s = self.dims
-        delay, space = np.divmod(np.asarray(idx, dtype=np.intp), n_s)
-        return (self._roots_dft[np.multiply.outer(self._tone, delay) % n_dft]
-                * self._roots_s[np.multiply.outer(self._space, space) % n_s])
+        tone, space = np.divmod(self.row_indices, n_s)
+        delay, lag = np.divmod(np.asarray(idx, dtype=np.intp), n_s)
+        # F_n[k, m] == F_n[1, (k*m) mod n]; for n == 1 the table is row 0.
+        roots_dft, roots_s = (numerics.dft_row(n, 1 % n) for n in self.dims)
+        return (roots_dft[np.multiply.outer(tone, delay) % n_dft]
+                * roots_s[np.multiply.outer(space, lag) % n_s])
 
     def gram(self, idx) -> np.ndarray:
         """columns(idx)^H columns(idx), gathered from the Gram table."""

@@ -5,6 +5,7 @@ import json
 import pytest
 import yaml
 
+from cs_sounding import sounding as snd
 from cs_sounding import sparse_recovery as sr
 from cs_sounding.cli import CHANNEL_CSV_HEADER, SWEEP_CSV_HEADER, main
 from cs_sounding.config import ConfigError, config_from_dict, load_config, validate_config
@@ -288,6 +289,22 @@ class TestSimulateCommand:
         assert "output" in err and name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, bad, value, echoed", [
+        ("--seed", {"master_seed": -3}, "4", ("master_seed", 4)),
+        ("--out", {"output": "taken"}, "fresh", ("output", "fresh")),
+        ("--algorithm", {"recovery": dict(TINY_CONFIG["recovery"], algorithm="bogus")},
+         "omp", ("recovery", {**TINY_CONFIG["recovery"], "algorithm": "omp"})),
+    ], ids=["seed", "out", "algorithm"])
+    def test_override_replaces_invalid_file_value(self, tmp_path, monkeypatch,
+                                                  flag, bad, value, echoed):
+        monkeypatch.chdir(tmp_path)  # relative output paths land in tmp_path
+        (tmp_path / "taken").write_text("keep me\n")
+        cfg_path = write_config(tmp_path, {**TINY_CONFIG, "output": "out", **bad})
+        assert main(["simulate", "--config", cfg_path, flag, value]) == 0
+        out = tmp_path / (value if flag == "--out" else "out")
+        key, expected = echoed
+        assert json.loads((out / "result.json").read_text())["config"][key] == expected
+
     def test_algorithm_override(self, tmp_path):
         cfg_path = write_config(tmp_path, TINY_CONFIG)
         out = tmp_path / "omp"
@@ -409,6 +426,14 @@ class TestSelfcheckCommand:
                      "allocation_partition", "operator_columns", "operator_gram", "gram_solve"):
             assert f"{name}: ok" in out
 
-    def test_corrupted_p_matrix_fails(self, capsys):
-        assert main(["selfcheck", "--corrupt-p"]) != 0
+    def test_corrupted_p_matrix_fails(self, capsys, monkeypatch):
+        built_in = snd.p_matrix
+
+        def flipped(n):
+            p = built_in(n).entries.copy()
+            p[0, 0] = -p[0, 0]
+            return snd.PMatrix(p)
+
+        monkeypatch.setattr(snd, "p_matrix", flipped)
+        assert main(["selfcheck"]) != 0
         assert "p_matrix_orthogonality: FAIL" in capsys.readouterr().out

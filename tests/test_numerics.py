@@ -1,8 +1,9 @@
 """Tests for the complex linear algebra and transform kernels.
 
 Oracles are kept independent of the implementation: dense matrix products
-for the FFTs, reconstruction for the factorization, and an explicit
-Gram-inverse pseudo-inverse for least squares.
+for the FFTs (numpy's, as the measurement operator applies them),
+reconstruction for the factorization, and an explicit Gram-inverse
+pseudo-inverse for least squares.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from cs_sounding import numerics as nm
 from cs_sounding.channel import ChannelRealization
 from cs_sounding.numerics import NotPositiveDefinite
+from cs_sounding.sparse_recovery import MeasurementOperator
 
 
 def random_complex(rng, *shape):
@@ -93,29 +95,49 @@ class TestFft:
 
 
 class TestFft2d:
+    """The 2-D FFTs of a MeasurementOperator that selects every row, in
+    natural order: matvec is F X F and rmatvec is F^H Y F^H."""
+
+    @staticmethod
+    def full(n, s):
+        return MeasurementOperator(n, s, np.arange(n * s))
+
     def test_one_by_one(self):
-        c = np.array([[2.0 - 1.0j]])
-        np.testing.assert_array_equal(nm.fft2d(c), c)
-        np.testing.assert_array_equal(nm.ifft2d(c), c)
+        c = np.array([2.0 - 1.0j])
+        op = self.full(1, 1)
+        np.testing.assert_array_equal(op.matvec(c), c)
+        np.testing.assert_array_equal(op.rmatvec(c), c)
 
     def test_roundtrip_8x4(self):
         rng = np.random.default_rng(6)
-        x = random_complex(rng, 8, 4)
-        err = np.max(np.abs(nm.ifft2d(nm.fft2d(x)) - x))
+        x = random_complex(rng, 8 * 4)
+        op = self.full(8, 4)
+        err = np.max(np.abs(op.rmatvec(op.matvec(x)) - x))
         assert err < 1e-10
 
     def test_matches_two_dense_matmuls_16x4(self):
         rng = np.random.default_rng(7)
         x = random_complex(rng, 16, 4)
         dense = nm.dft_matrix(16) @ x @ nm.dft_matrix(4)
-        np.testing.assert_allclose(nm.fft2d(x), dense, atol=1e-12)
+        np.testing.assert_allclose(self.full(16, 4).matvec(x.ravel()), dense.ravel(),
+                                   atol=1e-12)
 
     def test_ifft2d_matches_dense(self):
         rng = np.random.default_rng(8)
         x = random_complex(rng, 8, 8)
         f = nm.dft_matrix(8)
         dense = f.conj().T @ x @ f.conj().T
-        np.testing.assert_allclose(nm.ifft2d(x), dense, atol=1e-12)
+        np.testing.assert_allclose(self.full(8, 8).rmatvec(x.ravel()), dense.ravel(),
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float64, np.int64])
+    def test_double_precision_output(self, dtype):
+        op = self.full(8, 2)
+        x = np.arange(16).astype(dtype)
+        assert op.matvec(x).dtype == np.complex128
+        assert op.rmatvec(x).dtype == np.complex128
+        dense = nm.dft_matrix(8) @ x.reshape(8, 2) @ nm.dft_matrix(2)
+        np.testing.assert_allclose(op.matvec(x), dense.ravel(), atol=1e-12)
 
 
 class TestKronRow:
