@@ -4,10 +4,12 @@ Four commands, all driven by a YAML/JSON config file: `simulate` (one
 experiment, writes result.json and channel.csv), `sweep` (measurement
 count sweep, writes sweep.csv), `overhead` (feedback-bit and airtime
 comparison, writes overhead.json), and `selfcheck` (fast invariant suite).
-Overrides (`--seed`, `--out`, `--algorithm`) replace the file's values
-before validation. Outputs are byte-deterministic for a given config and
-BLAS thread count. Exit codes: 0 ok, 2 config error (an unwritable output
-path included), 3 solver failure.
+Overrides (`--seed`, `--out`, `--algorithm`, and each `--nkappa-list`
+value for `sounding.n_kappa`) replace the file's values before validation;
+a relative `pdp` path is taken from the config file's directory. Outputs
+are byte-deterministic for a given config and BLAS thread count. Exit
+codes: 0 ok, 2 config error (an unwritable output path included), 3 solver
+failure.
 """
 
 from __future__ import annotations
@@ -60,21 +62,19 @@ def _write_json(path: str, obj) -> None:
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg = replace(cfg, output=args.out)
-    if getattr(args, "algorithm", None) is not None:
+    if args.algorithm is not None:
         cfg = replace(cfg, recovery=replace(cfg.recovery, algorithm=args.algorithm))
     return cfg
 
 
 def _load(args):
-    """The config file with the command-line overrides applied, validated once."""
+    """The overridden config, validated once, and the profile it names."""
     cfg = _apply_overrides(read_config(args.config), args)
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    validate_config(cfg, base_dir)
-    return cfg, cfg.resolve_pdp(base_dir)
+    return cfg, validate_config(cfg, os.path.dirname(os.path.abspath(args.config)))
 
 
 def cmd_simulate(args) -> int:
@@ -135,18 +135,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, pdp = _load(args)
     try:
         nk_list = [int(tok) for tok in args.nkappa_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--nkappa-list: {exc}") from exc
     if not nk_list:
         raise ConfigError("--nkappa-list: must give at least one value")
+    cfg = _apply_overrides(read_config(args.config), args)
     base_dir = os.path.dirname(os.path.abspath(args.config))
-    for n_kappa in nk_list:
+    for n_kappa in nk_list:  # each value overrides sounding.n_kappa before validation
         try:
-            validate_config(cfg.with_n_kappa(n_kappa), base_dir)
+            pdp = validate_config(cfg.with_n_kappa(n_kappa), base_dir)
         except ConfigError as exc:
+            if "sounding.n_kappa" not in str(exc):  # not the value's fault
+                raise
             raise ConfigError(f"--nkappa-list: value {n_kappa}: {exc}") from exc
 
     rows = pipeline.sweep_nkappa(cfg, nk_list, cfg.trials, pdp)

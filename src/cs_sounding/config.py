@@ -18,7 +18,7 @@ import yaml
 from .channel import PdpSpec, SpatialCorrelation, bin_pdp
 from .feedback import ANGLE_BIT_WIDTHS, MAX_QUANT_BITS
 from .numerics import NotPositiveDefinite
-from .sounding import MAX_SHUFFLE_SIZE, MIN_SNR_DB, POWER_MODES
+from .sounding import MAX_SHUFFLE_SIZE, MIN_SNR_DB, POWER_MODES, ndp_airtime
 from .sparse_recovery import ALGORITHMS
 
 
@@ -81,37 +81,29 @@ class ExperimentConfig:
         return replace(self, sounding=replace(self.sounding, n_kappa=n_kappa))
 
     def resolve_pdp(self, base_dir: str = ".") -> PdpSpec:
-        return _resolve_pdp(self.pdp, base_dir)
-
-
-def _resolve_pdp(pdp, base_dir: str) -> PdpSpec:
-    if isinstance(pdp, PdpSpec):
-        return pdp
-    if isinstance(pdp, str):
-        if pdp == "default":
+        """The profile `pdp` names; a relative file path is taken from base_dir,
+        the config file's directory in load_config and the CLI."""
+        data, label = self.pdp, "pdp"
+        if isinstance(data, PdpSpec):
+            return data
+        if data == "default":
             return PdpSpec.default()
-        path = pdp if os.path.isabs(pdp) else os.path.join(base_dir, pdp)
+        if isinstance(data, str):
+            path = os.path.join(base_dir, data)  # an absolute path replaces base_dir
+            label = f"pdp file {path!r}"
+            try:
+                with open(path) as fh:
+                    data = yaml.safe_load(fh)
+            except OSError as exc:
+                raise ConfigError(f"pdp: cannot read profile file {path!r}: {exc}") from exc
+        elif not isinstance(data, dict):
+            raise ConfigError("pdp: expected 'default', a file path, or an inline profile, "
+                              f"got {type(data).__name__}")
         try:
-            with open(path) as fh:
-                data = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(f"pdp: cannot read profile file {path!r}: {exc}") from exc
-        return _pdp_from_mapping(data, f"pdp file {path!r}")
-    if isinstance(pdp, dict):
-        return _pdp_from_mapping(pdp, "pdp")
-    raise ConfigError(
-        f"pdp: expected 'default', a file path, or an inline profile, got {type(pdp).__name__}"
-    )
-
-
-def _pdp_from_mapping(data, label: str) -> PdpSpec:
-    try:
-        return PdpSpec.from_records(data["taps"], data["sample_period_ns"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{label}: needs 'sample_period_ns' and 'taps' "
-            f"(list of {{delay_ns, power_db}}): {exc}"
-        ) from exc
+            return PdpSpec.from_records(data["taps"], data["sample_period_ns"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{label}: needs 'sample_period_ns' and 'taps' "
+                              f"(list of {{delay_ns, power_db}}): {exc}") from exc
 
 
 def _build_section(cls, data, label: str, errors: list[str]):
@@ -162,8 +154,8 @@ def _is(val, kind) -> bool:
     return isinstance(val, kind) and not isinstance(val, bool)
 
 
-def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
-    """Check every cross-field constraint; raise ConfigError listing all."""
+def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> PdpSpec:
+    """Check every constraint; raise ConfigError listing all, else return the PdpSpec."""
     errors: list[str] = []
     d = cfg.dims
     for name, val in (("dims.n_dft", d.n_dft), ("dims.n_t", d.n_t), ("dims.n_r", d.n_r)):
@@ -192,6 +184,7 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         errors.append(
             f"sounding.seed: must be a nonzero 16-bit integer (1..65535), got {s.seed!r}"
         )
+    count_errors = len(errors)  # the checks that bound n_t and n_kappa
     available = None  # estimates one sounding yields; only defined for valid dims
     if dims_ok:
         bad = [t for t in s.usable_tones or () if not (_is(t, int) and 0 <= t < d.n_dft)]
@@ -203,7 +196,7 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             )
         elif n_usable < d.n_t:
             errors.append(
-                f"sounding.usable_tones: {n_usable} tones cannot cover {d.n_t} antennas"
+                f"sounding.usable_tones: {n_usable} tones cannot cover dims.n_t = {d.n_t}"
             )
         available = n_usable * d.n_r
         if available > MAX_SHUFFLE_SIZE:
@@ -222,6 +215,7 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             f"sounding.n_kappa: only {available} measurements available "
             f"({n_usable} tones x {d.n_r} rx), got {s.n_kappa!r}"
         )
+    counts_ok = dims_ok and len(errors) == count_errors  # both <= MAX_SHUFFLE_SIZE
     if s.snr_db is not None and not (_is(s.snr_db, (int, float)) and s.snr_db >= MIN_SNR_DB):
         errors.append(f"sounding.snr_db: must be a number >= {MIN_SNR_DB:g} dB "
                       f"(not NaN) or null, got {s.snr_db!r}")
@@ -246,13 +240,13 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
         errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
     if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:
         errors.append(f"feedback.ltf_duration_us: must be finite and positive, got {f.ltf_duration_us!r}")
-    elif dims_ok and _is(s.n_kappa, int):
-        # LTF symbols of the longer NDP (sounding.ndp_airtime); integer
-        # ceil, since a huge n_kappa / n_dft overflows a float
-        symbols = max(d.n_t, -(-s.n_kappa // d.n_dft))
-        if not symbols * f.ltf_duration_us < math.inf:
-            errors.append(f"feedback.ltf_duration_us: {symbols} LTF symbols of "
-                          f"{f.ltf_duration_us!r} us overflow the airtime")
+    elif counts_ok:
+        longer_ndp_us = max(
+            ndp_airtime(d.n_t, "conventional", ltf_duration_us=f.ltf_duration_us),
+            ndp_airtime(d.n_t, "punctured", s.n_kappa, d.n_dft, f.ltf_duration_us))
+        if not longer_ndp_us < math.inf:
+            errors.append(f"feedback.ltf_duration_us: {f.ltf_duration_us!r} us per LTF "
+                          f"symbol overflows the NDP airtime")
 
     if not _is(cfg.trials, int) or cfg.trials < 1:
         errors.append(f"trials: must be a positive integer, got {cfg.trials!r}")
@@ -287,6 +281,7 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> None:
             errors.append(str(exc))
     if errors:
         raise ConfigError("; ".join(errors))
+    return pdp
 
 
 def read_config(path: str) -> ExperimentConfig:
@@ -315,6 +310,4 @@ def read_config(path: str) -> ExperimentConfig:
 def load_config(path: str) -> tuple[ExperimentConfig, PdpSpec]:
     """Read and fully validate a config file; returns (config, pdp)."""
     cfg = read_config(path)
-    base_dir = os.path.dirname(os.path.abspath(path))
-    validate_config(cfg, base_dir)
-    return cfg, cfg.resolve_pdp(base_dir)
+    return cfg, validate_config(cfg, os.path.dirname(os.path.abspath(path)))

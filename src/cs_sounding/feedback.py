@@ -170,6 +170,11 @@ def quantize_angles(angles: GivensAngles, mode: str) -> GivensAngles:
     )
 
 
+def measurement_feedback_bits(n_values: int, bits_per_component: int) -> int:
+    """Bits of a quantized report: both components of every value, plus the header."""
+    return n_values * 2 * bits_per_component + HEADER_BITS
+
+
 @dataclass(frozen=True)
 class QuantizedMeasurements:
     """Quantizer output: dequantized values plus the exact bit payload."""
@@ -199,7 +204,7 @@ def quantize_measurements(values, bits_per_component: int | None) -> QuantizedMe
             f"bits_per_component must be in [1, {MAX_QUANT_BITS}], got {bits}")
     comps = np.concatenate([vals.real, vals.imag])
     scale = float(np.max(np.abs(comps))) if comps.size else 0.0
-    bit_count = vals.size * 2 * bits + HEADER_BITS
+    bit_count = measurement_feedback_bits(vals.size, bits)
     if scale == 0.0:
         return QuantizedMeasurements(
             np.zeros_like(vals), bits, 0.0,

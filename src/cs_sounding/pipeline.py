@@ -185,7 +185,7 @@ def overhead_report(n_t: int, n_r: int, mode: str, n_kappa: int, n_dft: int,
         total_bits=fb.total_feedback_bits(n_t, n_r, mode, n_tones),
         airtime_us=snd.ndp_airtime(n_t, "conventional", ltf_duration_us=ltf_duration_us),
     )
-    prop_bits = None if quant_bits is None else n_kappa * 2 * quant_bits + fb.HEADER_BITS
+    prop_bits = None if quant_bits is None else fb.measurement_feedback_bits(n_kappa, quant_bits)
     prop = fb.FeedbackReport(
         scheme="proposed",
         bits_per_tone=None,
@@ -197,18 +197,17 @@ def overhead_report(n_t: int, n_r: int, mode: str, n_kappa: int, n_dft: int,
     return conv, prop
 
 
-def run_experiment(cfg: ExperimentConfig, pdp: chan.PdpSpec | None = None,
+def run_experiment(cfg: ExperimentConfig, pdp: chan.PdpSpec,
                    trial: int = 0) -> ExperimentResult:
     """One full sounding-feedback-recovery experiment.
 
     When a threshold is configured, the floor (relative energy of the taps
     the threshold discards from the true channel) is computed and the
     recovery sparsity budget is capped at the thresholded tap count. The
-    measurements always come from the true channel.
+    measurements always come from the true channel. `pdp` is the profile
+    `config.validate_config` returns for cfg.
     """
     d = cfg.dims
-    if pdp is None:
-        pdp = cfg.resolve_pdp()
     seeds = derive_trial_seeds(cfg.master_seed, cfg.sounding.seed, trial)
     corr = chan.SpatialCorrelation(cfg.correlation.rho_tx, cfg.correlation.rho_rx)
     h = chan.generate_channel(pdp, d.n_dft, d.n_t, d.n_r, corr, seed=seeds.channel)
@@ -256,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, pdp: chan.PdpSpec | None = None,
 
 
 def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
-                 pdp: chan.PdpSpec | None = None) -> list[dict]:
+                 pdp: chan.PdpSpec) -> list[dict]:
     """Full per-trial result table over the measurement-count sweep.
 
     One row per (n_kappa, trial) in that order; solver failures are
@@ -265,8 +264,6 @@ def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
     """
     if not n_kappa_list:
         raise ValueError("n_kappa_list must not be empty")
-    if pdp is None:
-        pdp = cfg.resolve_pdp()
     rows = []
     for n_kappa in n_kappa_list:
         cfg_nk = cfg.with_n_kappa(int(n_kappa))

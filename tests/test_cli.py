@@ -1,10 +1,13 @@
 """Tests for config parsing/validation and the command-line front end."""
 
 import json
+import os
+import pathlib
 
 import pytest
 import yaml
 
+from cs_sounding import config as config_module
 from cs_sounding import sounding as snd
 from cs_sounding import sparse_recovery as sr
 from cs_sounding.cli import CHANNEL_CSV_HEADER, SWEEP_CSV_HEADER, main
@@ -20,6 +23,10 @@ TINY_CONFIG = {
     "trials": 2,
     "master_seed": 7,
 }
+
+
+HUGE = int("9" * 401)  # more digits than a float can hold
+SHIPPED_MODEL = pathlib.Path(__file__).resolve().parent.parent / "configs" / "model_4x2.yaml"
 
 
 def write_config(tmp_path, data, name="config.yaml"):
@@ -209,6 +216,61 @@ class TestConfig:
         assert rc == 2
         assert "16-bit LFSR shuffle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, commands", [
+        ("sounding.n_kappa", [["simulate"], ["overhead"]]),
+        ("dims.n_t", [["simulate"], ["overhead"], ["sweep", "--nkappa-list", "80"]]),
+        ("--nkappa-list", [["sweep", "--nkappa-list", f"80,{HUGE}"]]),
+    ], ids=["n_kappa", "n_t", "nkappa_list"])
+    def test_huge_integer_exits_2(self, tmp_path, capsys, field, commands):
+        # a count a float cannot hold reached the airtime check, which
+        # crashed with OverflowError
+        data = json.loads(json.dumps(TINY_CONFIG))
+        if field != "--nkappa-list":
+            section, key = field.split(".")
+            data[section][key] = HUGE
+        named = "sounding.n_kappa" if field == "--nkappa-list" else field
+        for command in commands:
+            rc = main([*command, "--config", write_config(tmp_path, data),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert named in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
+    def test_validate_returns_the_profile_load_config_returns(self, tmp_path):
+        (tmp_path / "profile.yaml").write_text(yaml.safe_dump({
+            "sample_period_ns": 50.0,
+            "taps": [{"delay_ns": 0, "power_db": 0}, {"delay_ns": 100, "power_db": -4}],
+        }))
+        path = write_config(tmp_path, dict(TINY_CONFIG, pdp="profile.yaml"))
+        cfg, pdp = load_config(path)
+        assert validate_config(cfg, str(tmp_path)) == pdp
+        assert pdp.taps[1][0] == 100.0
+
+    @pytest.mark.parametrize("command, most", [
+        (["simulate"], 1), (["overhead"], 1),
+        (["sweep", "--nkappa-list", "80,100"], 2),
+        (["sweep", "--nkappa-list", "80,100,120"], 3),
+    ], ids=["simulate", "overhead", "sweep2", "sweep3"])
+    def test_profile_file_read_once_per_validation(self, tmp_path, monkeypatch,
+                                                   command, most):
+        profile = tmp_path / "cfg" / "profile.yaml"
+        profile.parent.mkdir()
+        profile.write_text(yaml.safe_dump({
+            "sample_period_ns": 50.0, "taps": [{"delay_ns": 0, "power_db": 0}]}))
+        cfg_path = write_config(profile.parent, dict(TINY_CONFIG, pdp="profile.yaml"))
+        reads = []
+
+        def counting_open(file, *args, **kwargs):
+            if os.path.abspath(file) == str(profile):
+                reads.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(config_module, "open", counting_open, raising=False)
+        monkeypatch.chdir(tmp_path)  # the path is relative to the config, not the cwd
+        assert main([*command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+        assert 1 <= len(reads) <= most
+
 
 class TestSimulateCommand:
     def test_writes_result_and_channel(self, tmp_path):
@@ -350,6 +412,19 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert first[0] == "80" and first[1] == "0"
         assert all(line.split(",")[-1] in STOP_REASONS for line in lines[1:])
+
+    def test_list_replaces_invalid_file_n_kappa(self, tmp_path):
+        # the shipped 256-tone 2-rx config yields 512 estimates
+        data = yaml.safe_load(SHIPPED_MODEL.read_text())
+        data["sounding"]["n_kappa"] = 5000
+        data["trials"] = 2
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", write_config(tmp_path, data), "--out", str(out),
+                   "--nkappa-list", "160,200"])
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[1]) for row in rows] == [
+            ("160", "0"), ("160", "1"), ("200", "0"), ("200", "1")]
 
     def test_failed_rows_leave_stop_reason_empty(self, tmp_path, monkeypatch):
         def degenerate(phi, y, cfg):

@@ -7,12 +7,15 @@ import statistics
 import numpy as np
 import pytest
 
+from cs_sounding import feedback as fb
 from cs_sounding import numerics as nm
 from cs_sounding import pipeline as pl
 from cs_sounding.channel import PdpSpec, generate_channel
 from cs_sounding.config import config_from_dict
 from cs_sounding.sounding import allocate_ltf
 from cs_sounding.sparse_recovery import RecoveryConfig
+
+DEFAULT_PDP = PdpSpec.default()  # what validate_config returns for `pdp: default`
 
 
 def two_sided(x):
@@ -136,7 +139,7 @@ class TestRecoverChannel:
 
     def test_model_channel_end_to_end(self):
         cfg = base_config()
-        res = pl.run_experiment(cfg, trial=0)
+        res = pl.run_experiment(cfg, DEFAULT_PDP, trial=0)
         assert res.mse < 1e-3
         assert res.kappa_realized <= 50
         assert res.recovery.iterations <= 50
@@ -144,7 +147,7 @@ class TestRecoverChannel:
 
     def test_recovered_views_consistent(self):
         cfg = base_config()
-        res = pl.run_experiment(cfg, trial=1)
+        res = pl.run_experiment(cfg, DEFAULT_PDP, trial=1)
         rec = res.recovered
         np.testing.assert_allclose(two_sided(rec.h_2d), rec.h_freq, atol=1e-10)
         np.testing.assert_allclose(nm.dft_matrix(rec.n_dft) @ rec.h_time, rec.h_freq,
@@ -152,7 +155,7 @@ class TestRecoverChannel:
 
     def test_omp_path(self):
         cfg = base_config(recovery={"kappa": 50, "algorithm": "omp", "i_max": 60})
-        res = pl.run_experiment(cfg, trial=0)
+        res = pl.run_experiment(cfg, DEFAULT_PDP, trial=0)
         assert res.mse < 1e-3
 
     def test_bad_algorithm_rejected(self):
@@ -219,7 +222,7 @@ class TestThresholdExperiment:
             recovery={"kappa": 35, "tau": 1e-6, "i_max": 50},
             sounding={"seed": 37, "n_kappa": 160, "threshold_db": 30.0},
         )
-        res = pl.run_experiment(cfg, trial=0)
+        res = pl.run_experiment(cfg, DEFAULT_PDP, trial=0)
         assert res.threshold_floor is not None
         assert res.kappa_used <= 35
         if res.threshold_floor > 0:
@@ -240,8 +243,8 @@ class TestThresholdExperiment:
             recovery=dataclasses.replace(clean_cfg.recovery, tau=1e-2),
             sounding=dataclasses.replace(clean_cfg.sounding, snr_db=30.0),
         )
-        clean = [pl.run_experiment(clean_cfg, trial=t).mse for t in range(6)]
-        noisy = [pl.run_experiment(noisy_cfg, trial=t).mse for t in range(6)]
+        clean = [pl.run_experiment(clean_cfg, DEFAULT_PDP, trial=t).mse for t in range(6)]
+        noisy = [pl.run_experiment(noisy_cfg, DEFAULT_PDP, trial=t).mse for t in range(6)]
         assert statistics.median(noisy) < 10 * statistics.median(clean)
 
 
@@ -252,7 +255,7 @@ class TestSweep:
             recovery={"kappa": 12, "tau": 1e-6, "i_max": 30},
             sounding={"seed": 5, "n_kappa": 48},
         )
-        rows = pl.sweep_nkappa(cfg, [48, 64], 3)
+        rows = pl.sweep_nkappa(cfg, [48, 64], 3, DEFAULT_PDP)
         assert len(rows) == 6
         assert [(r["n_kappa"], r["trial"]) for r in rows] == [
             (48, 0), (48, 1), (48, 2), (64, 0), (64, 1), (64, 2)
@@ -266,12 +269,12 @@ class TestSweep:
             recovery={"kappa": 20, "tau": 1e-6, "i_max": 30},
             sounding={"seed": 5, "n_kappa": 48},
         )
-        rows = pl.sweep_nkappa(cfg, [128], 1)  # every available estimate
+        rows = pl.sweep_nkappa(cfg, [128], 1, DEFAULT_PDP)  # every available estimate
         assert rows[0]["mse"] < 1e-6
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            pl.sweep_nkappa(base_config(), [], 1)
+            pl.sweep_nkappa(base_config(), [], 1, DEFAULT_PDP)
 
 
 class TestOverheadReport:
@@ -290,3 +293,9 @@ class TestOverheadReport:
     def test_proposed_airtime_multiple_symbols(self):
         _, prop = pl.overhead_report(4, 2, "SU", 300, 256, 52, 12.0, 8)
         assert prop.airtime_us == 24.0
+
+    @pytest.mark.parametrize("n, bits", [(1, 1), (48, 10), (200, 8), (1024, 32)])
+    def test_proposed_bits_match_the_quantizer(self, n, bits):
+        _, prop = pl.overhead_report(4, 2, "MU", n, 256, 234, 12.0, bits)
+        counted = fb.quantize_measurements(np.ones(n), bits).bit_count
+        assert prop.total_bits == counted == fb.measurement_feedback_bits(n, bits)
