@@ -23,9 +23,12 @@ class DelaySpreadExceedsDft(ValueError):
 
 
 def _finite(value, name: str) -> float:
-    if isinstance(value, bool) or not math.isfinite(float(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    try:
+        if not isinstance(value, bool) and math.isfinite(float(value)):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

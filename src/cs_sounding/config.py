@@ -115,17 +115,15 @@ def _build_section(cls, data, label: str, errors: list[str]):
     known = {f_.name for f_ in cls.__dataclass_fields__.values()}
     unknown = set(data) - known
     if unknown:
-        errors.append(
-            f"{label}: unknown keys {sorted(unknown)} (expected {sorted(known)})"
-        )
+        errors.append(f"{label}: unknown keys {sorted(unknown, key=str)} "  # keys of any type
+                      f"(expected {sorted(known)})")
     kwargs = {k: v for k, v in data.items() if k in known}
-    try:
-        if kwargs.get("usable_tones") is not None:
-            kwargs["usable_tones"] = tuple(kwargs["usable_tones"])
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{label}: {exc}")
-        return cls()
+    tones = kwargs.get("usable_tones")
+    if isinstance(tones, (list, tuple)):
+        kwargs["usable_tones"] = tuple(tones)
+    elif tones is not None:
+        errors.append(f"{label}.usable_tones: expected a list, got {type(tones).__name__}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -135,7 +133,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     top = fields(ExperimentConfig)
     unknown = set(data) - {f_.name for f_ in top}
     if unknown:
-        errors.append(f"unknown top-level keys {sorted(unknown)}")
+        errors.append(f"unknown top-level keys {sorted(unknown, key=str)}")
     kwargs = {}
     for f_ in top:
         if f_.default_factory is not MISSING:  # a section, built from its mapping
@@ -149,109 +147,94 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _is(val, kind) -> bool:
-    """isinstance(val, kind), except that a bool never passes as a number."""
-    return isinstance(val, kind) and not isinstance(val, bool)
+def _number(errors: list[str], name: str, value, kind, ok, wants: str,
+            nullable: bool = False) -> bool:
+    """Record `name: wants, got value` unless value (never a bool) is a `kind`
+    passing `ok`. A real (kind float) may be an int, tested as a float, so one
+    too large for a float fails; with nullable, None passes."""
+    if nullable and value is None:
+        return True
+    try:
+        good = (isinstance(value, (int, kind)) and not isinstance(value, bool)
+                and ok(kind(value)))
+    except OverflowError:
+        good = False
+    if not good:
+        errors.append(f"{name}: {wants}, got {value!r}")
+    return good
+
+
+def _choice(errors: list[str], name: str, value, options) -> None:
+    if value not in list(options):  # a list: the value may be unhashable
+        errors.append(f"{name}: must be one of {list(options)}, got {value!r}")
 
 
 def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> PdpSpec:
     """Check every constraint; raise ConfigError listing all, else return the PdpSpec."""
     errors: list[str] = []
-    d = cfg.dims
-    for name, val in (("dims.n_dft", d.n_dft), ("dims.n_t", d.n_t), ("dims.n_r", d.n_r)):
-        if not _is(val, int) or val < 1:
-            errors.append(f"{name}: must be a positive integer, got {val!r}")
-    dims_ok = not errors
-    for name, rho in (("correlation.rho_tx", cfg.correlation.rho_tx),
-                      ("correlation.rho_rx", cfg.correlation.rho_rx)):
-        if not _is(rho, (int, float)) or not 0.0 <= rho < 1.0:
-            errors.append(f"{name}: must be in [0, 1), got {rho!r}")
-
-    r = cfg.recovery
-    if not _is(r.kappa, int) or r.kappa < 1:
-        errors.append(f"recovery.kappa: must be a positive integer, got {r.kappa!r}")
-    if not _is(r.tau, (int, float)) or not 0.0 < r.tau < 1.0:
-        errors.append(f"recovery.tau: must be in (0, 1), got {r.tau!r}")
-    if not _is(r.i_max, int) or r.i_max < 1:
-        errors.append(f"recovery.i_max: must be >= 1, got {r.i_max!r}")
-    if r.algorithm not in ALGORITHMS:
-        errors.append(
-            f"recovery.algorithm: must be one of {list(ALGORITHMS)}, got {r.algorithm!r}"
-        )
-
-    s = cfg.sounding
-    if not _is(s.seed, int) or not 1 <= s.seed <= 0xFFFF:
-        errors.append(
-            f"sounding.seed: must be a nonzero 16-bit integer (1..65535), got {s.seed!r}"
-        )
-    count_errors = len(errors)  # the checks that bound n_t and n_kappa
+    d, r, s, f = cfg.dims, cfg.recovery, cfg.sounding, cfg.feedback
+    positive = lambda n: n >= 1
+    dims_ok = all([_number(errors, f"dims.{key}", getattr(d, key), int, positive,
+                           "must be a positive integer") for key in ("n_dft", "n_t", "n_r")])
+    for key in ("rho_tx", "rho_rx"):
+        _number(errors, f"correlation.{key}", getattr(cfg.correlation, key), float,
+                lambda x: 0 <= x < 1, "must be in [0, 1)")
+    kappa_ok = _number(errors, "recovery.kappa", r.kappa, int, positive,
+                       "must be a positive integer")
+    _number(errors, "recovery.tau", r.tau, float, lambda x: 0 < x < 1, "must be in (0, 1)")
+    _number(errors, "recovery.i_max", r.i_max, int, positive, "must be >= 1")
+    _choice(errors, "recovery.algorithm", r.algorithm, ALGORITHMS)
+    _number(errors, "sounding.seed", s.seed, int, lambda n: 1 <= n <= 0xFFFF,
+            "must be a nonzero 16-bit integer (1..65535)")
     available = None  # estimates one sounding yields; only defined for valid dims
+    counts_ok = dims_ok  # n_t and n_kappa both end up <= MAX_SHUFFLE_SIZE
     if dims_ok:
-        bad = [t for t in s.usable_tones or () if not (_is(t, int) and 0 <= t < d.n_dft)]
+        bad = [t for t in s.usable_tones or ()
+               if isinstance(t, bool) or not (isinstance(t, int) and 0 <= t < d.n_dft)]
         # set() only once every element is known to be hashable
         n_usable = d.n_dft if s.usable_tones is None or bad else len(set(s.usable_tones))
         if bad:
-            errors.append(
-                f"sounding.usable_tones: indices {bad} are not integers in [0, {d.n_dft})"
-            )
+            errors.append(f"sounding.usable_tones: indices {bad} are not integers "
+                          f"in [0, {d.n_dft})")
         elif n_usable < d.n_t:
-            errors.append(
-                f"sounding.usable_tones: {n_usable} tones cannot cover dims.n_t = {d.n_t}"
-            )
+            errors.append(f"sounding.usable_tones: {n_usable} tones cannot cover "
+                          f"dims.n_t = {d.n_t}")
         available = n_usable * d.n_r
         if available > MAX_SHUFFLE_SIZE:
-            errors.append(
-                f"dims: {n_usable} usable tones x {d.n_r} rx = {available} estimates, "
-                f"more than the {MAX_SHUFFLE_SIZE} the 16-bit LFSR shuffle can permute"
-            )
-    if not _is(s.n_kappa, int) or s.n_kappa < 1:
-        errors.append(f"sounding.n_kappa: must be a positive integer, got {s.n_kappa!r}")
-    elif _is(r.kappa, int) and s.n_kappa < 2 * r.kappa:
-        errors.append(
-            f"sounding.n_kappa: must be >= 2*recovery.kappa = {2 * r.kappa}, got {s.n_kappa!r}"
-        )
-    elif available is not None and s.n_kappa > available:
-        errors.append(
-            f"sounding.n_kappa: only {available} measurements available "
-            f"({n_usable} tones x {d.n_r} rx), got {s.n_kappa!r}"
-        )
-    counts_ok = dims_ok and len(errors) == count_errors  # both <= MAX_SHUFFLE_SIZE
-    if s.snr_db is not None and not (_is(s.snr_db, (int, float)) and s.snr_db >= MIN_SNR_DB):
-        errors.append(f"sounding.snr_db: must be a number >= {MIN_SNR_DB:g} dB "
-                      f"(not NaN) or null, got {s.snr_db!r}")
-    if s.power_mode not in POWER_MODES:
-        errors.append(
-            f"sounding.power_mode: must be one of {list(POWER_MODES)}, got {s.power_mode!r}"
-        )
-    if s.threshold_db is not None and (
-            not _is(s.threshold_db, (int, float)) or not s.threshold_db > 0):
-        errors.append(
-            f"sounding.threshold_db: must be positive or null, got {s.threshold_db!r}"
-        )
+            errors.append(f"dims: {n_usable} usable tones x {d.n_r} rx = {available} estimates, "
+                          f"more than the {MAX_SHUFFLE_SIZE} the 16-bit LFSR shuffle can permute")
+        counts_ok = not bad and n_usable >= d.n_t and available <= MAX_SHUFFLE_SIZE
 
-    f = cfg.feedback
-    if f.mode not in list(ANGLE_BIT_WIDTHS):  # a list: the mode may be unhashable
-        errors.append(f"feedback.mode: must be one of {list(ANGLE_BIT_WIDTHS)}, got {f.mode!r}")
-    if f.quant_bits is not None and (
-            not _is(f.quant_bits, int) or not 1 <= f.quant_bits <= MAX_QUANT_BITS):
-        errors.append(f"feedback.quant_bits: must be an integer in [1, {MAX_QUANT_BITS}] "
-                      f"or null, got {f.quant_bits!r}")
-    if not _is(f.n_tones, int) or f.n_tones < 0:
-        errors.append(f"feedback.n_tones: must be >= 0, got {f.n_tones!r}")
-    if not _is(f.ltf_duration_us, (int, float)) or not 0 < f.ltf_duration_us < math.inf:
-        errors.append(f"feedback.ltf_duration_us: must be finite and positive, got {f.ltf_duration_us!r}")
-    elif counts_ok:
+    def n_kappa_is(ok, wants: str) -> bool:
+        return _number(errors, "sounding.n_kappa", s.n_kappa, int, ok, wants)
+    # a test runs only once those before it pass, so n_kappa gets one message at most
+    counts_ok = (n_kappa_is(positive, "must be a positive integer")
+                 and (not kappa_ok or n_kappa_is(
+                     lambda n: n >= 2 * r.kappa, f"must be >= 2*recovery.kappa = {2 * r.kappa}"))
+                 and (available is None or n_kappa_is(
+                     lambda n: n <= available,
+                     f"only {available} measurements available ({n_usable} tones x {d.n_r} rx)"))
+                 and counts_ok)
+    _number(errors, "sounding.snr_db", s.snr_db, float, lambda x: x >= MIN_SNR_DB,
+            f"must be a number >= {MIN_SNR_DB:g} dB (not NaN) or null", nullable=True)
+    _choice(errors, "sounding.power_mode", s.power_mode, POWER_MODES)
+    _number(errors, "sounding.threshold_db", s.threshold_db, float, lambda x: x > 0,
+            "must be positive or null", nullable=True)
+    _choice(errors, "feedback.mode", f.mode, ANGLE_BIT_WIDTHS)
+    _number(errors, "feedback.quant_bits", f.quant_bits, int, lambda n: 1 <= n <= MAX_QUANT_BITS,
+            f"must be an integer in [1, {MAX_QUANT_BITS}] or null", nullable=True)
+    _number(errors, "feedback.n_tones", f.n_tones, int, lambda n: n >= 0, "must be >= 0")
+    if _number(errors, "feedback.ltf_duration_us", f.ltf_duration_us, float,
+               lambda x: 0 < x < math.inf, "must be finite and positive") and counts_ok:
         longer_ndp_us = max(
             ndp_airtime(d.n_t, "conventional", ltf_duration_us=f.ltf_duration_us),
             ndp_airtime(d.n_t, "punctured", s.n_kappa, d.n_dft, f.ltf_duration_us))
         if not longer_ndp_us < math.inf:
             errors.append(f"feedback.ltf_duration_us: {f.ltf_duration_us!r} us per LTF "
                           f"symbol overflows the NDP airtime")
-
-    if not _is(cfg.trials, int) or cfg.trials < 1:
-        errors.append(f"trials: must be a positive integer, got {cfg.trials!r}")
-    if not _is(cfg.master_seed, int) or cfg.master_seed < 0:
-        errors.append(f"master_seed: must be a non-negative integer, got {cfg.master_seed!r}")
+    _number(errors, "trials", cfg.trials, int, positive, "must be a positive integer")
+    _number(errors, "master_seed", cfg.master_seed, int, lambda n: n >= 0,
+            "must be a non-negative integer")
     if not isinstance(cfg.output, str) or not cfg.output:
         errors.append(f"output: must be a directory path, got {cfg.output!r}")
     else:
@@ -273,10 +256,8 @@ def validate_config(cfg: ExperimentConfig, base_dir: str = ".") -> PdpSpec:
             pdp = cfg.resolve_pdp(base_dir)
             bins = bin_pdp(pdp)
             if bins[-1][0] >= d.n_dft:
-                errors.append(
-                    f"pdp: binned delay span {bins[-1][0]} does not fit in "
-                    f"dims.n_dft = {d.n_dft}"
-                )
+                errors.append(f"pdp: binned delay span {bins[-1][0]} does not fit in "
+                              f"dims.n_dft = {d.n_dft}")
         except ConfigError as exc:
             errors.append(str(exc))
     if errors:

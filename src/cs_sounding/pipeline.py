@@ -268,26 +268,14 @@ def sweep_nkappa(cfg: ExperimentConfig, n_kappa_list, n_trials: int,
     for n_kappa in n_kappa_list:
         cfg_nk = cfg.with_n_kappa(int(n_kappa))
         for trial in range(n_trials):
+            row = {"n_kappa": int(n_kappa), "trial": trial}
             try:
                 res = run_experiment(cfg_nk, pdp, trial)
-                rows.append({
-                    "n_kappa": int(n_kappa),
-                    "trial": trial,
-                    "mse": res.mse,
-                    "iterations": res.recovery.iterations,
-                    "mac_count": res.recovery.mac_count,
-                    "converged": res.recovery.converged,
-                    "stop_reason": res.recovery.stop_reason,
-                })
+                rec = res.recovery
+                row.update(mse=res.mse, iterations=rec.iterations, mac_count=rec.mac_count,
+                           converged=rec.converged, stop_reason=rec.stop_reason)
             except (sr.DegenerateSupport, sr.InsufficientMeasurements) as exc:
-                rows.append({
-                    "n_kappa": int(n_kappa),
-                    "trial": trial,
-                    "mse": math.nan,
-                    "iterations": 0,
-                    "mac_count": 0,
-                    "converged": False,
-                    "stop_reason": "",
-                    "error": str(exc),
-                })
+                row.update(mse=math.nan, iterations=0, mac_count=0, converged=False,
+                           stop_reason="", error=str(exc))
+            rows.append(row)
     return rows

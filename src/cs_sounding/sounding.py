@@ -309,12 +309,13 @@ def ndp_airtime(n_t: int, scheme: str, n_kappa: int | None = None,
     """Training airtime in microseconds for one sounding packet.
 
     Conventional needs n_t LTF symbols; the punctured scheme needs
-    ceil(n_kappa / n_dft) of them (at least one).
+    ceil(n_kappa / n_dft) of them (at least one). It multiplies in float,
+    so an integer duration gives a float and an overflowing product inf.
     """
     if scheme == "conventional":
-        return n_t * ltf_duration_us
+        return n_t * float(ltf_duration_us)
     if scheme == "punctured":
         if n_kappa is None or n_dft is None:
             raise ValueError("punctured airtime needs n_kappa and n_dft")
-        return math.ceil(max(n_kappa, 1) / n_dft) * ltf_duration_us
+        return math.ceil(max(n_kappa, 1) / n_dft) * float(ltf_duration_us)
     raise ValueError(f"scheme must be 'conventional' or 'punctured', got {scheme!r}")

@@ -56,6 +56,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             config_from_dict(dict(TINY_CONFIG, bogus=1))
 
+    @pytest.mark.parametrize("data", [
+        dict(TINY_CONFIG, dims={1: 2, "x": 3}), {**TINY_CONFIG, 1: 2, "x": 3},
+    ], ids=["section", "top_level"])
+    def test_unknown_keys_of_mixed_types_rejected(self, tmp_path, capsys, data):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(data)
+        assert main(["simulate", "--config", write_config(tmp_path, data),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_n_kappa_lower_bound(self):
         bad = dict(TINY_CONFIG, sounding=dict(TINY_CONFIG["sounding"], n_kappa=10))
         cfg = config_from_dict(bad)
@@ -159,6 +169,7 @@ class TestConfig:
         ("feedback.ltf_duration_us", float("inf")),
         ("feedback.ltf_duration_us", float("nan")),
         ("feedback.ltf_duration_us", 1e308),  # finite, but two symbols of it are not
+        pytest.param("feedback.ltf_duration_us", 10 ** 308, id="int_airtime_overflow"),
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, field, value):
         section, key = field.split(".")
@@ -192,6 +203,10 @@ class TestConfig:
         (50.0, {"delay_ns": 60, "power_db": 4000}, "power_db"),
         (1e-3, {"delay_ns": 1e307, "power_db": -3}, "delay_ns / sample_period_ns"),
         (1e-320, {"delay_ns": 60, "power_db": -3}, "delay_ns / sample_period_ns"),
+        pytest.param(50.0, {"delay_ns": HUGE, "power_db": -3}, "delay_ns", id="huge_delay"),
+        pytest.param(50.0, {"delay_ns": 60, "power_db": HUGE}, "power_db", id="huge_power"),
+        pytest.param(HUGE, {"delay_ns": 60, "power_db": -3}, "sample_period_ns",
+                     id="huge_period"),
     ])
     def test_bad_pdp_value_exits_2(self, tmp_path, capsys, inline, period, tap, field):
         profile = {"sample_period_ns": period,
@@ -236,6 +251,38 @@ class TestConfig:
             err = capsys.readouterr().err
             assert named in err and "Traceback" not in err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", [
+        "correlation.rho_tx", "correlation.rho_rx", "recovery.tau",
+        "sounding.snr_db", "sounding.threshold_db", "feedback.ltf_duration_us",
+    ])
+    def test_real_too_large_for_a_float_exits_2(self, tmp_path, capsys, field):
+        # a real-valued field is range-checked as a float, so an integer
+        # beyond the float range fails instead of overflowing later
+        data = json.loads(json.dumps(TINY_CONFIG))
+        section, key = field.split(".")
+        data[section][key] = HUGE
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            validate_config(config_from_dict(data))
+        for command in (["simulate"], ["overhead"], ["sweep", "--nkappa-list", "80"]):
+            rc = main([*command, "--config", write_config(tmp_path, data),
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tones", [{0: 1, 2: 3, 4: 5, 6: 7}, 5], ids=["mapping", "scalar"])
+    def test_usable_tones_must_be_a_list(self, tmp_path, capsys, tones):
+        data = dict(TINY_CONFIG, sounding=dict(TINY_CONFIG["sounding"], usable_tones=tones))
+        with pytest.raises(ConfigError, match=r"sounding\.usable_tones"):
+            config_from_dict(data)
+        rc = main(["simulate", "--config", write_config(tmp_path, data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sounding.usable_tones" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_returns_the_profile_load_config_returns(self, tmp_path):
         (tmp_path / "profile.yaml").write_text(yaml.safe_dump({
@@ -490,6 +537,14 @@ class TestOverheadCommand:
         assert report["conventional"]["airtime_us"] == 192.0
         assert report["proposed"]["airtime_us"] == 12.0
         assert report["proposed"]["total_bits"] == 200 * 2 * 10 + 32
+
+    def test_integer_ltf_duration_gives_float_airtime(self, tmp_path):
+        data = dict(TINY_CONFIG, feedback=dict(TINY_CONFIG["feedback"], ltf_duration_us=12))
+        out = tmp_path / "out"
+        assert main(["overhead", "--config", write_config(tmp_path, data),
+                     "--out", str(out)]) == 0
+        text = (out / "overhead.json").read_text()
+        assert '"airtime_us": 24.0' in text and '"airtime_us": 24,' not in text
 
 
 class TestSelfcheckCommand:
