@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 CHANNEL_CSV_HEADER = "domain,index,re_true,im_true,re_rec,im_rec"
-SWEEP_CSV_HEADER = "n_kappa,trial,mse,iterations,mac_count,converged,stop_reason"
+SWEEP_CSV_HEADER = "n_kappa,trial,mse,iterations,mac_count,converged,stop_reason,error"
 
 
 def _fmt(x) -> str:
@@ -46,6 +46,11 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def _quoted(text: str) -> str:
+    """A CSV cell holding `text` verbatim (RFC 4180 quoting); empty stays empty."""
+    return '"' + text.replace('"', '""') + '"' if text else ""
 
 
 def _write_text(path: str, text: str) -> None:
@@ -157,7 +162,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join([
             _fmt(row["n_kappa"]), _fmt(row["trial"]), _fmt(float(row["mse"])),
             _fmt(row["iterations"]), _fmt(row["mac_count"]), _fmt(row["converged"]),
-            row["stop_reason"],
+            row["stop_reason"], _quoted(row.get("error", "")),
         ]))
     path = os.path.join(cfg.output, "sweep.csv")
     _write_text(path, "\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Tests for config parsing/validation and the command-line front end."""
 
+import csv
 import json
 import os
 import pathlib
@@ -458,7 +459,8 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * TINY_CONFIG["trials"]
         first = lines[1].split(",")
         assert first[0] == "80" and first[1] == "0"
-        assert all(line.split(",")[-1] in STOP_REASONS for line in lines[1:])
+        assert all(line.split(",")[6] in STOP_REASONS and line.split(",")[7] == ""
+                   for line in lines[1:])
 
     def test_list_replaces_invalid_file_n_kappa(self, tmp_path):
         # the shipped 256-tone 2-rx config yields 512 estimates
@@ -474,16 +476,20 @@ class TestSweepCommand:
             ("160", "0"), ("160", "1"), ("200", "0"), ("200", "1")]
 
     def test_failed_rows_leave_stop_reason_empty(self, tmp_path, monkeypatch):
+        message = 'rank-deficient support of size 56, "after retry"'
+
         def degenerate(phi, y, cfg):
-            raise sr.DegenerateSupport("rank-deficient support")
+            raise sr.DegenerateSupport(message)
 
         monkeypatch.setattr(sr, "cosamp", degenerate)
         out = tmp_path / "out"
         rc = main(["sweep", "--config", write_config(tmp_path, TINY_CONFIG),
                    "--out", str(out), "--nkappa-list", "80"])
         assert rc == 0
-        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
-        assert [(row[2], row[-1]) for row in rows] == [("nan", "")] * TINY_CONFIG["trials"]
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(row[2], row[6], row[7]) for row in rows] == (
+            [("nan", "", message)] * TINY_CONFIG["trials"])
 
     def test_median_recompute_from_csv(self, tmp_path):
         import statistics

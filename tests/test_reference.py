@@ -1,17 +1,18 @@
 """Regression oracle: the shipped configs against a committed reference.
 
-`reference_trials.json` holds, for the first 20 trials of four cases
+`reference_trials.json` holds, for the first 20 trials of five cases
 (threshold_4x2 with CoSaMP, model_4x2 with CoSaMP, model_4x2 with OMP,
-and model_4x2 with OMP on noisy, boosted, 8-bit quantized sounding) and
-the first 5 of a fifth (model_4x2 scaled to an 8x4 system with a
-1024-point DFT, CoSaMP with supports up to about 420 columns), the exact
-solver outcome and the error figures. Numerical refactors must reproduce
-it:
+model_4x2 with OMP on noisy, boosted, 8-bit quantized sounding, and
+model_4x2 with CoSaMP at n_kappa 120, where most trials run to the
+iteration cap) and the first 5 of a sixth (model_4x2 scaled to an 8x4
+system with a 1024-point DFT, CoSaMP with supports up to about 420
+columns), the exact solver outcome and the error figures. Numerical
+refactors must reproduce it:
 
-- exactly: iterations, MAC count, converged flag, support size, kappa_used,
-  kappa_realized and the significant support (entries of x_hat above
-  1e-6 of its peak; atoms below that are rounding noise whose order may
-  change under any change of summation order);
+- exactly: iterations, MAC count, converged flag, stop reason, support
+  size, kappa_used, kappa_realized and the significant support (entries
+  of x_hat above 1e-6 of its peak; atoms below that are rounding noise
+  whose order may change under any change of summation order);
 - to a relative tolerance of 1e-9 (plus 1e-20 absolute): mse and
   threshold_floor.
 
@@ -20,9 +21,9 @@ Regenerate the file (only when a change of results is intended) with
     PYTHONPATH=src python tests/test_reference.py --write
 
 It reruns every case but rewrites only the cases missing from the file
-and, elsewhere, the fields failing the comparison above; every other
-field keeps its committed value, so rounding-level differences (noiseless
-mse near 1e-29) cause no churn.
+and, elsewhere, the fields missing from a record or failing the
+comparison above; every other field keeps its committed value, so
+rounding-level differences (noiseless mse near 1e-29) cause no churn.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ N_TRIALS = 20
 SIGNIFICANT = 1e-6
 REL_TOL = 1e-9
 ABS_TOL = 1e-20
-EXACT = ("iterations", "mac_count", "converged", "support_size",
+EXACT = ("iterations", "mac_count", "converged", "stop_reason", "support_size",
          "kappa_used", "kappa_realized", "significant_support")
 CLOSE = ("mse", "threshold_floor")
 
@@ -48,6 +49,9 @@ CASES = {
     "threshold_4x2": ("configs/threshold_4x2.yaml", {}),
     "model_4x2": ("configs/model_4x2.yaml", {}),
     "model_4x2_omp": ("configs/model_4x2.yaml", {"recovery": {"algorithm": "omp"}}),
+    # Below the recovery threshold: most trials end at the iteration cap,
+    # and every iteration's merged set exceeds the rows and takes the retry.
+    "model_4x2_nk120": ("configs/model_4x2.yaml", {"sounding": {"n_kappa": 120}}),
     # The only case that draws noise: pins the noise stream and its order.
     "model_4x2_noisy_omp": ("configs/model_4x2.yaml", {
         "recovery": {"algorithm": "omp"},
@@ -87,6 +91,7 @@ def run_case(name: str) -> list[dict]:
             "iterations": rec.iterations,
             "mac_count": rec.mac_count,
             "converged": bool(rec.converged),
+            "stop_reason": rec.stop_reason,
             "support_size": int(rec.support.size),
             "kappa_used": res.kappa_used,
             "kappa_realized": res.kappa_realized,
@@ -141,12 +146,12 @@ if __name__ == "__main__":
             print(f"rewrote case {name}")
             continue
         # keep every committed field that still matches, so the file
-        # changes only where the results did
+        # changes only where the results did or a field was added
         data[name] = [{**a, **{key: e[key] for key in EXACT + CLOSE
-                               if field_matches(key, e[key], a[key])}}
+                               if key in e and field_matches(key, e[key], a[key])}}
                       for e, a in zip(expected, actual)]
         moved = sorted({key for e, a in zip(expected, actual) for key in EXACT + CLOSE
-                        if not field_matches(key, e[key], a[key])})
+                        if key not in e or not field_matches(key, e[key], a[key])})
         if moved:
             print(f"rewrote {', '.join(moved)} in case {name}")
     FIXTURE.write_text(json.dumps(data, indent=1) + "\n")

@@ -482,6 +482,33 @@ class TestOmp:
         assert res.residual_history == pytest.approx([np.sqrt(0.5)] * 2)
         assert not res.converged
 
+    # Atom 1 is e1 scaled by 1e-7: alone it factors, but beside the unit
+    # atom 0 its squared pivot 1e-14 is below 1e-12 * trace / 2, so the rank
+    # test rejects it although y correlates with it more than with atom 2.
+    def test_rank_test_retry_takes_the_next_atom(self):
+        mat = np.zeros((4, 3), dtype=complex)
+        mat[0, 0], mat[1, 1], mat[2, 2] = 1.0, 1e-7, 1.0
+        y = np.array([1000.0, 1e8, 1.0, 0.0], dtype=complex)
+        res = omp(DenseOperator(mat), y, RecoveryConfig(kappa=2, i_max=20))
+        assert res.stop_reason == "kappa_reached" and res.iterations == 2
+        assert res.support.tolist() == [0, 2]
+        np.testing.assert_allclose(res.x_hat, [1000.0, 0.0, 1.0], rtol=1e-15, atol=0)
+
+    def test_rank_test_failing_twice_raises(self):
+        mat = np.zeros((4, 3), dtype=complex)
+        mat[0, 0], mat[1, 1], mat[2, 2] = 1.0, 1e-7, 1e-7
+        y = np.array([1000.0, 1e8, 5e7, 0.0], dtype=complex)
+        with pytest.raises(DegenerateSupport, match="size 2 after retry") as info:
+            omp(DenseOperator(mat), y, RecoveryConfig(kappa=2, i_max=20))
+        assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_rank_test_retry_without_a_correlating_atom_raises(self):
+        mat = np.zeros((4, 3), dtype=complex)
+        mat[0, 0], mat[1, 1], mat[2, 2] = 1.0, 1e-7, 1.0
+        y = np.array([1000.0, 1e8, 0.0, 0.0], dtype=complex)
+        with pytest.raises(DegenerateSupport, match="no usable atom left after retry"):
+            omp(DenseOperator(mat), y, RecoveryConfig(kappa=2, i_max=20))
+
     def test_stops_once_the_budget_is_spent(self):
         rng = np.random.default_rng(9)
         phi = DenseOperator(random_complex(rng, 24, 48) / 5)
