@@ -48,11 +48,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _quoted(text: str) -> str:
-    """A CSV cell holding `text` verbatim (RFC 4180 quoting); empty stays empty."""
-    return '"' + text.replace('"', '""') + '"' if text else ""
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -162,7 +157,7 @@ def cmd_sweep(args) -> int:
         lines.append(",".join([
             _fmt(row["n_kappa"]), _fmt(row["trial"]), _fmt(float(row["mse"])),
             _fmt(row["iterations"]), _fmt(row["mac_count"]), _fmt(row["converged"]),
-            row["stop_reason"], _quoted(row.get("error", "")),
+            row["stop_reason"], '"%s"' % row["error"].replace('"', '""') if "error" in row else "",
         ]))
     path = os.path.join(cfg.output, "sweep.csv")
     _write_text(path, "\n".join(lines) + "\n")

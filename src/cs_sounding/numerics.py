@@ -8,10 +8,10 @@ Cholesky factorization and a tolerance on its pivots, then solves it.
 Above GRAM_FACTOR_REUSE_ABOVE columns it reuses that factor L for two
 blocked substitutions (L, then L^H); at or below it one LAPACK LU solve is
 faster and stays.
-`solve_normal_equations` gets the Gram system of a column block, explicit
-or implicit, and hands it to `solve_gram`. The DFT rows use the unitary
-convention (1/sqrt(N)), as numpy's norm="ortho" FFTs do, so Parseval
-holds and Kronecker rows are unit norm.
+`solve_normal_equations` (CoSaMP's path) gets the Gram system of a column
+block, explicit or implicit, and hands it to `solve_gram`. The DFT rows
+use the unitary convention (1/sqrt(N)), as numpy's norm="ortho" FFTs do,
+so Parseval holds and Kronecker rows are unit norm.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ tone-by-space Kronecker DFT transform, addressed by row index and applied
 through FFTs without ever storing the matrix. Because the rows are a mask
 on a 2-D DFT, the inner product of two columns depends only on their
 delay and space differences, so the operator keeps one Gram table (the
-2-D DFT of the mask) and the restricted least squares gathers its Gram
-matrix from it: the solvers never form a column block. Each least-squares
-step hands numerics.solve_normal_equations that Gram matrix and the
-precomputed Phi^H y (a Cholesky rank check, then a solve that reuses the
-factor on large column sets), and every solver run carries a complex
+2-D DFT of the mask): the solvers never form a column block. CoSaMP hands
+numerics.solve_normal_equations each merged support's Gram matrix and the
+precomputed Phi^H y; OMP (Batch-OMP) grows an inverse Cholesky factor one
+atom at a time from Gram columns. Every solver run carries a complex
 multiply-accumulate tally of the textbook dense-Gram cost.
 """
 
@@ -105,7 +104,8 @@ class MeasurementOperator:
         # Tiled twice along each axis, so a column pair's cell is the plain
         # difference of their grid coordinates plus a fixed offset (no mod).
         g = np.fft.fft2(mask, norm="ortho") / math.sqrt(n_dft * n_s)
-        self._gram_table = np.tile(g, (2, 2)).ravel()
+        self._gram_grid = np.tile(g, (2, 2))
+        self._gram_table = self._gram_grid.ravel()
         self._gram_offset = n_dft * 2 * n_s + n_s
 
     @classmethod
@@ -141,6 +141,11 @@ class MeasurementOperator:
         idx = np.asarray(idx, dtype=np.intp)
         coord = idx + idx // self.dims[1] * self.dims[1]  # delay*2*n_s + space
         return self._gram_table.take((coord + self._gram_offset) - coord[:, None])
+
+    def gram_column(self, p: int) -> np.ndarray:
+        """gram(all)[:, p]: one reversed 2-D slice of the tiled table, no FFT."""
+        (n_dft, n_s), (n_p, v_p) = self.dims, divmod(int(p), self.dims[1])
+        return self._gram_grid[n_p + n_dft:n_p:-1, v_p + n_s:v_p:-1].ravel()
 
 
 def support_select(u: np.ndarray, count: int) -> np.ndarray:
@@ -197,17 +202,25 @@ class _ColumnSubset:
         return self.phi.gram(self.t_set), self.phi_h_y[self.t_set]
 
 
+def _lstsq_macs(n_kappa: int, m: int) -> int:
+    """Textbook cost of least squares on m columns: Gram, Phi^H y, Cholesky, 2 solves."""
+    return n_kappa * m * m + n_kappa * m + math.ceil(m**3 / 3) + m * m
+
+
 def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray, y: np.ndarray,
                       phi_h_y: np.ndarray, macs: _MacTally) -> np.ndarray:
     """Least squares of y on the columns in t_set, from the operator's Gram
     table and phi_h_y = Phi^H y; books the dense-Gram cost of the step."""
-    n_kappa, m = phi.shape[0], t_set.size
-    macs.add(n_kappa * m * m)        # Gram matrix
-    macs.add(n_kappa * m)            # right-hand side
-    macs.add(math.ceil(m**3 / 3))    # Cholesky
-    macs.add(m * m)                  # two triangular solves with the factor (done
-                                     # above numerics' cutoff; an LU solve below)
+    macs.add(_lstsq_macs(phi.shape[0], t_set.size))
     return numerics.solve_normal_equations(_ColumnSubset(phi, t_set, y, phi_h_y), y)
+
+
+def _relative_residual(phi, y, y_norm, support, b) -> tuple[float, np.ndarray]:
+    """||y - Phi x|| / ||y|| for x = b on support, and the residual itself."""
+    x_hat = np.zeros(phi.shape[1], dtype=np.complex128)
+    x_hat[support] = b
+    r = y - phi.matvec(x_hat)
+    return float(np.linalg.norm(r)) / y_norm, r
 
 
 def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
@@ -235,40 +248,83 @@ def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
     return t_set[keep], b[keep]
 
 
-def _omp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
-    """Add the strongest unused atom (retrying once with the next one when
-    the least squares is rank deficient); None when no atom correlates."""
-    mags = np.abs(proxy)
-    if support.size:
+class _Cosamp:
+    """CoSaMP's run state: Phi^H y and the last residual (its FFT correlation is the proxy)."""
+
+    def __init__(self, phi, y, y_norm, cfg, macs):
+        self.phi, self.y, self.y_norm, self.kappa, self.macs = phi, y, y_norm, cfg.kappa, macs
+        self.phi_h_y, self.r = phi.rmatvec(y), None
+
+    def step(self, support):
+        proxy = self.phi_h_y if self.r is None else self.phi.rmatvec(self.r)
+        support, b = _cosamp_step(self.phi, self.y, self.phi_h_y, proxy, support,
+                                  self.kappa, self.macs)
+        rel, self.r = _relative_residual(self.phi, self.y, self.y_norm, support, b)
+        return support, b, rel, True
+
+
+class _Omp:
+    """Batch-OMP's run state (Rubinstein, Zibulevsky & Elad, Technion
+    CS-2008-08), in atom insertion order: L^-1, the inverse Cholesky factor
+    of the support's Gram matrix; the Gram columns G[:, t], whose rows are
+    written as atoms arrive; alpha0 = Phi^H y and z = L^-1 alpha0[T]."""
+
+    def __init__(self, phi, y, y_norm, cfg, macs):
+        self.phi, self.y_norm, self.macs = phi, y_norm, macs
+        self.alpha0 = self.proxy = phi.rmatvec(y)
+        self.atoms = np.empty(cfg.kappa, dtype=np.intp)
+        self.cols = np.empty((cfg.kappa, phi.shape[1]), dtype=np.complex128)
+        self.inv = np.zeros((cfg.kappa, cfg.kappa), dtype=np.complex128)
+        self.z = np.empty(cfg.kappa, dtype=np.complex128)
+        self.m, self.trace = 0, 0.0
+
+    def step(self, support):
+        """Add the strongest unused atom (the next one if the rank test fails); None if none."""
+        mags = np.abs(self.proxy)
         mags[support] = -1.0
-    for attempt in range(2):
-        pick = int(np.argmax(mags))
-        if mags[pick] <= 0.0:
-            if attempt:
-                raise DegenerateSupport("no usable atom left after retry")
-            return None
-        trial = np.union1d(support, [pick]).astype(np.intp)
-        try:
-            return trial, _restricted_lstsq(phi, trial, y, phi_h_y, macs)
-        except NotPositiveDefinite as exc:
+        m = self.m
+        for attempt in range(2):
+            p = int(np.argmax(mags))
+            if mags[p] <= 0.0:
+                if attempt:
+                    raise DegenerateSupport("no usable atom left after retry")
+                return None
+            self.macs.add(_lstsq_macs(self.phi.shape[0], m + 1))
+            col = self.phi.gram_column(p)
+            l = self.inv[:m, :m] @ col[self.atoms[:m]]
+            d2 = col[p].real - np.vdot(l, l).real  # the squared Cholesky pivot of p
+            trace = self.trace + col[p].real
+            eps = 1e-12 * trace / (m + 1)  # numerics.cholesky's rank tolerance
+            if d2 > eps:
+                break
+            cause = NotPositiveDefinite(f"pivot {d2:.3e} at index {m} (tolerance {eps:.3e})")
             if attempt:
                 raise DegenerateSupport(
-                    f"rank-deficient support of size {trial.size} after retry"
-                ) from exc
-            mags[pick] = -1.0
+                    f"rank-deficient support of size {m + 1} after retry") from cause
+            mags[p] = -1.0
+        d = math.sqrt(d2)
+        self.inv[m, :m + 1] = np.append(-(l.conj() @ self.inv[:m, :m]), 1.0) / d
+        self.z[m] = (self.alpha0[p] - np.vdot(l, self.z[:m])) / d
+        self.atoms[m], self.cols[m], self.m, self.trace = p, col, m + 1, trace
+        b = self.inv[:m + 1, :m + 1].conj().T @ self.z[:m + 1]
+        self.proxy = self.alpha0 - b @ self.cols[:m + 1]
+        order = np.argsort(self.atoms[:m + 1])
+        rel = math.sqrt(max(self.y_norm**2 - np.linalg.norm(self.z[:m + 1])**2, 0.0)) / self.y_norm
+        return self.atoms[order], b[order], rel, False
 
 
 def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
-             step, stop_at_kappa: bool) -> SparseRecoveryResult:
+             solver, stop_at_kappa: bool) -> SparseRecoveryResult:
     """Input checks, residual loop and result shared by cosamp and omp.
 
-    Each iteration correlates the residual against the operator, lets
-    `step` pick the new support and its least-squares coefficients (or
-    None to keep the current estimate), and updates the residual as
-    y - Phi x_hat. Stops when the relative residual drops to cfg.tau
-    ("converged"), (stop_at_kappa) once the support holds cfg.kappa atoms
-    ("kappa_reached"), when an iterate repeats ("cycled"), or after
-    cfg.i_max iterations ("i_max").
+    Each iteration the `solver` state (_Cosamp or _Omp) correlates the
+    residual against the operator and returns the new support, its
+    least-squares coefficients and their relative residual, exact or an
+    estimate (taken exactly near cfg.tau and for the last entry), or None
+    to keep the current estimate. Stops when the relative residual drops
+    to cfg.tau ("converged"), (stop_at_kappa) once the support holds
+    cfg.kappa atoms ("kappa_reached"), when an iterate repeats ("cycled"),
+    or after cfg.i_max iterations ("i_max").
 
     The next iterate is a function of the current (support, coefficients)
     alone, so from a repeat on the run is periodic. A cycled run returns
@@ -295,40 +351,36 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True, "converged")
 
     macs = _MacTally()
-    r = y
-    proxy = phi_h_y = phi.rmatvec(y)  # the first residual is y itself
-    rel = 1.0
+    state = solver(phi, y, y_norm, cfg, macs)
+    rel, exact = 1.0, True
     history: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] = []  # (support, b) per iteration
     seen: dict[bytes, int] = {}  # iterate bytes -> its first iteration index
-    stop_reason = "i_max"
+    stop_reason = None
     for it in range(cfg.i_max):
-        if it:
-            proxy = phi.rmatvec(r)
         macs.add(n * n_kappa)
-        picked = step(phi, y, phi_h_y, proxy, support, cfg.kappa, macs)
+        picked = state.step(support)
         if picked is not None:
-            support, b = picked
-            x_hat = np.zeros(n, dtype=np.complex128)
-            x_hat[support] = b
-            r = y - phi.matvec(x_hat)
+            support, b, rel, exact = picked
             macs.add(n_kappa * support.size)
-            rel = float(np.linalg.norm(r)) / y_norm
-        history.append(rel)
+            if not exact and rel <= max(10 * cfg.tau, 1e-6):  # the estimate is ~1e-8 off
+                rel, exact = _relative_residual(phi, y, y_norm, support, b)[0], True
         if rel <= cfg.tau:
             stop_reason = "converged"
-            break
-        if stop_at_kappa and support.size >= cfg.kappa:
+        elif stop_at_kappa and support.size >= cfg.kappa:
             stop_reason = "kappa_reached"  # no further progress possible
-            break
-        first = seen.setdefault(support.tobytes() + b.tobytes(), it)
-        if first < it:
+        elif seen.setdefault(key := support.tobytes() + b.tobytes(), it) < it:
             stop_reason = "cycled"
-            support, b = iterates[first + (cfg.i_max - 1 - first) % (it - first)]
-            x_hat.fill(0)
-            x_hat[support] = b
+        if not exact and (stop_reason or it == cfg.i_max - 1):  # the last entry is exact
+            rel = _relative_residual(phi, y, y_norm, support, b)[0]
+        history.append(rel)
+        if stop_reason:
             break
         iterates.append((support, b))
+    if stop_reason == "cycled":
+        first = seen[key]
+        support, b = iterates[first + (cfg.i_max - 1 - first) % (it - first)]
+    x_hat[support] = b
 
     return SparseRecoveryResult(
         x_hat=x_hat,
@@ -337,7 +389,7 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         iterations=len(history),
         mac_count=macs.count,
         converged=stop_reason == "converged",
-        stop_reason=stop_reason,
+        stop_reason=stop_reason or "i_max",
     )
 
 
@@ -354,12 +406,12 @@ def cosamp(phi: MeasurementOperator, y: np.ndarray,
     _pursuit). On noisy, quantized or thresholded data it seldom
     converges but cycles within a few iterations.
     """
-    return _pursuit(phi, y, cfg, _cosamp_step, stop_at_kappa=False)
+    return _pursuit(phi, y, cfg, _Cosamp, stop_at_kappa=False)
 
 
 def omp(phi: MeasurementOperator, y: np.ndarray,
         cfg: RecoveryConfig) -> SparseRecoveryResult:
-    """Orthogonal matching pursuit.
+    """Orthogonal matching pursuit, computed as Batch-OMP.
 
     One support index per iteration (the strongest correlation not yet
     selected), no pruning, least squares over the accumulated support,
@@ -367,5 +419,9 @@ def omp(phi: MeasurementOperator, y: np.ndarray,
     cfg.kappa atoms, since the estimate cannot grow further. An iteration
     that finds no correlating atom keeps the previous iterate, so the run
     ends as cycled.
+
+    The least squares grows an inverse Cholesky factor one atom at a time
+    (see _Omp); residual history entries above max(10 * cfg.tau, 1e-6) come
+    from it, accurate to about 1e-8, and the others and the last are exact.
     """
-    return _pursuit(phi, y, cfg, _omp_step, stop_at_kappa=True)
+    return _pursuit(phi, y, cfg, _Omp, stop_at_kappa=True)

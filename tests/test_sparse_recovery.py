@@ -56,6 +56,9 @@ class DenseOperator:
         cols = self.columns(idx)
         return cols.conj().T @ cols
 
+    def gram_column(self, p):
+        return self.matrix.conj().T @ self.matrix[:, p]
+
 
 def planted_instance(rng, n, n_kappa, kappa, kron_dims=None):
     """Sparse ground truth measured by random rows of a unitary transform
@@ -235,6 +238,14 @@ class TestMeasurementOperator:
         np.testing.assert_allclose(phi.gram(idx), cols.conj().T @ cols, rtol=0, atol=1e-12)
 
 
+    @given(kron_operators(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_gram_column_matches_gram(self, case, data):
+        phi, _ = case
+        p = data.draw(st.integers(0, phi.shape[1] - 1))
+        np.testing.assert_array_equal(phi.gram_column(p), phi.gram(np.arange(phi.shape[1]))[:, p])
+
+
 class TestRecoveryConfig:
     @pytest.mark.parametrize("kwargs", [
         {"kappa": 0},
@@ -399,8 +410,9 @@ class TestCosamp:
 class TestLeastSquaresPath:
     @pytest.mark.parametrize("solver", [cosamp, omp])
     def test_no_column_block_is_formed(self, solver, monkeypatch):
-        # every least squares goes through solve_normal_equations with an
-        # implicit block whose normal equations come from the Gram table
+        # CoSaMP's least squares go through solve_normal_equations with an
+        # implicit block whose normal equations come from the Gram table;
+        # OMP grows its factor from Gram columns and calls neither
         def no_columns(self, idx):
             raise AssertionError("the solver evaluated a column block")
 
@@ -408,6 +420,7 @@ class TestLeastSquaresPath:
         solve = nm.solve_normal_equations
 
         def spy(phi_t, y):
+            assert solver is cosamp, "OMP solved the normal equations"
             assert not isinstance(phi_t, np.ndarray)
             widths.append(phi_t.shape[1])
             return solve(phi_t, y)
@@ -418,7 +431,7 @@ class TestLeastSquaresPath:
         phi, x0, y = planted_instance(rng, 64, 32, 4, kron_dims=(16, 4))
         res = solver(phi, y, RecoveryConfig(kappa=4))
         assert res.converged
-        assert len(widths) >= res.iterations
+        assert len(widths) >= (res.iterations if solver is cosamp else 0)
         np.testing.assert_allclose(res.x_hat, x0, rtol=0, atol=1e-9)
 
     def test_right_hand_side_only_for_the_measurement(self):
