@@ -215,14 +215,6 @@ def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray, y: np.ndarray
     return numerics.solve_normal_equations(_ColumnSubset(phi, t_set, y, phi_h_y), y)
 
 
-def _relative_residual(phi, y, y_norm, support, b) -> tuple[float, np.ndarray]:
-    """||y - Phi x|| / ||y|| for x = b on support, and the residual itself."""
-    x_hat = np.zeros(phi.shape[1], dtype=np.complex128)
-    x_hat[support] = b
-    r = y - phi.matvec(x_hat)
-    return float(np.linalg.norm(r)) / y_norm, r
-
-
 def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
     """Merged-support least squares with the halved-candidate retry, then
     prune back to the kappa largest coefficients.
@@ -249,33 +241,35 @@ def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
 
 
 class _Cosamp:
-    """CoSaMP's run state: Phi^H y and the last residual (its FFT correlation is the proxy)."""
+    """CoSaMP's run state: Phi^H y, the last residual and the proxy, its FFT correlation."""
 
     def __init__(self, phi, y, y_norm, cfg, macs):
         self.phi, self.y, self.y_norm, self.kappa, self.macs = phi, y, y_norm, cfg.kappa, macs
-        self.phi_h_y, self.r = phi.rmatvec(y), None
+        self.phi_h_y = self.proxy = phi.rmatvec(y)  # the first residual is y itself
+        self.r = None
 
     def step(self, support):
-        proxy = self.phi_h_y if self.r is None else self.phi.rmatvec(self.r)
-        support, b = _cosamp_step(self.phi, self.y, self.phi_h_y, proxy, support,
-                                  self.kappa, self.macs)
-        rel, self.r = _relative_residual(self.phi, self.y, self.y_norm, support, b)
-        return support, b, rel, True
+        if self.r is not None:
+            self.proxy = self.phi.rmatvec(self.r)
+        return _cosamp_step(self.phi, self.y, self.phi_h_y, self.proxy, support,
+                            self.kappa, self.macs)
+
+    def residual(self, x_hat, final=False) -> tuple[float, bool]:
+        self.r = self.y - self.phi.matvec(x_hat)
+        return float(np.linalg.norm(self.r)) / self.y_norm, True
 
 
 class _Omp:
-    """Batch-OMP's run state (Rubinstein, Zibulevsky & Elad, Technion
-    CS-2008-08), in atom insertion order: L^-1, the inverse Cholesky factor
-    of the support's Gram matrix; the Gram columns G[:, t], whose rows are
-    written as atoms arrive; alpha0 = Phi^H y and z = L^-1 alpha0[T]."""
+    """Batch-OMP's run state (Rubinstein, Zibulevsky & Elad, 2008), in atom
+    insertion order: L^-1, the inverse Cholesky factor of the support's Gram
+    matrix; Gram columns G[:, t]; alpha0 = Phi^H y; z = L^-1 alpha0[T]."""
 
     def __init__(self, phi, y, y_norm, cfg, macs):
-        self.phi, self.y_norm, self.macs = phi, y_norm, macs
+        self.phi, self.y, self.y_norm, self.tau, self.macs = phi, y, y_norm, cfg.tau, macs
         self.alpha0 = self.proxy = phi.rmatvec(y)
-        self.atoms = np.empty(cfg.kappa, dtype=np.intp)
+        self.atoms, self.z = np.empty(cfg.kappa, np.intp), np.empty(cfg.kappa, np.complex128)
         self.cols = np.empty((cfg.kappa, phi.shape[1]), dtype=np.complex128)
         self.inv = np.zeros((cfg.kappa, cfg.kappa), dtype=np.complex128)
-        self.z = np.empty(cfg.kappa, dtype=np.complex128)
         self.m, self.trace = 0, 0.0
 
     def step(self, support):
@@ -309,8 +303,13 @@ class _Omp:
         b = self.inv[:m + 1, :m + 1].conj().T @ self.z[:m + 1]
         self.proxy = self.alpha0 - b @ self.cols[:m + 1]
         order = np.argsort(self.atoms[:m + 1])
-        rel = math.sqrt(max(self.y_norm**2 - np.linalg.norm(self.z[:m + 1])**2, 0.0)) / self.y_norm
-        return self.atoms[order], b[order], rel, False
+        return self.atoms[order], b[order]
+
+    def residual(self, x_hat, final=False) -> tuple[float, bool]:
+        rel = math.sqrt(max(1.0 - (np.linalg.norm(self.z[:self.m]) / self.y_norm)**2, 0.0))
+        if final or rel <= max(10 * self.tau, 1e-6):  # the estimate is about 1e-8 off
+            return float(np.linalg.norm(self.y - self.phi.matvec(x_hat))) / self.y_norm, True
+        return rel, False
 
 
 def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
@@ -318,11 +317,11 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     """Input checks, residual loop and result shared by cosamp and omp.
 
     Each iteration the `solver` state (_Cosamp or _Omp) correlates the
-    residual against the operator and returns the new support, its
-    least-squares coefficients and their relative residual, exact or an
-    estimate (taken exactly near cfg.tau and for the last entry), or None
-    to keep the current estimate. Stops when the relative residual drops
-    to cfg.tau ("converged"), (stop_at_kappa) once the support holds
+    residual against the operator and returns the new support and its
+    least-squares coefficients (or None to keep the current estimate),
+    then the relative residual of x_hat: exact, or an estimate from OMP's
+    factor away from cfg.tau (the last entry is exact). Stops when it
+    drops to cfg.tau ("converged"), (stop_at_kappa) once the support holds
     cfg.kappa atoms ("kappa_reached"), when an iterate repeats ("cycled"),
     or after cfg.i_max iterations ("i_max").
 
@@ -361,10 +360,11 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         macs.add(n * n_kappa)
         picked = state.step(support)
         if picked is not None:
-            support, b, rel, exact = picked
+            support, b = picked
+            x_hat = np.zeros(n, dtype=np.complex128)
+            x_hat[support] = b
             macs.add(n_kappa * support.size)
-            if not exact and rel <= max(10 * cfg.tau, 1e-6):  # the estimate is ~1e-8 off
-                rel, exact = _relative_residual(phi, y, y_norm, support, b)[0], True
+            rel, exact = state.residual(x_hat)
         if rel <= cfg.tau:
             stop_reason = "converged"
         elif stop_at_kappa and support.size >= cfg.kappa:
@@ -372,15 +372,15 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         elif seen.setdefault(key := support.tobytes() + b.tobytes(), it) < it:
             stop_reason = "cycled"
         if not exact and (stop_reason or it == cfg.i_max - 1):  # the last entry is exact
-            rel = _relative_residual(phi, y, y_norm, support, b)[0]
+            rel = state.residual(x_hat, final=True)[0]
         history.append(rel)
         if stop_reason:
             break
         iterates.append((support, b))
     if stop_reason == "cycled":
-        first = seen[key]
-        support, b = iterates[first + (cfg.i_max - 1 - first) % (it - first)]
-    x_hat[support] = b
+        support, b = iterates[(first := seen[key]) + (cfg.i_max - 1 - first) % (it - first)]
+        x_hat.fill(0)
+        x_hat[support] = b
 
     return SparseRecoveryResult(
         x_hat=x_hat,

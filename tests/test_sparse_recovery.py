@@ -522,6 +522,27 @@ class TestOmp:
         with pytest.raises(DegenerateSupport, match="no usable atom left after retry"):
             omp(DenseOperator(mat), y, RecoveryConfig(kappa=2, i_max=20))
 
+    def test_residual_history_tracks_the_exact_norm(self):
+        # a run capped at k ends on iterate k, and its last entry is exact
+        rng = np.random.default_rng(12)
+        phi, _, y = planted_instance(rng, 256, 64, 8, kron_dims=(64, 4))
+        res = omp(phi, y, RecoveryConfig(kappa=12))
+        assert res.stop_reason == "converged" and res.iterations == 8
+        for k, rel in enumerate(res.residual_history, start=1):
+            capped = omp(phi, y, RecoveryConfig(kappa=12, i_max=k))
+            exact = np.linalg.norm(y - phi.matvec(capped.x_hat)) / np.linalg.norm(y)
+            assert capped.residual_history[-1] == exact
+            assert rel == pytest.approx(exact, rel=0, abs=1e-7)
+
+    def test_converges_below_the_estimate_floor(self):
+        # at the exact fit the factor's estimate reads 1.5e-8 (exact: 2e-16);
+        # with tau far below that the stop still rests on the exact norm
+        rng = np.random.default_rng(32)
+        phi, _, y = planted_instance(rng, 256, 64, 8, kron_dims=(64, 4))
+        res = omp(phi, y, RecoveryConfig(kappa=12, tau=1e-14))
+        assert res.stop_reason == "converged" and res.support.size == 8
+        assert res.residual_history[-1] <= 1e-14
+
     def test_stops_once_the_budget_is_spent(self):
         rng = np.random.default_rng(9)
         phi = DenseOperator(random_complex(rng, 24, 48) / 5)
