@@ -143,7 +143,7 @@ class MeasurementOperator:
         return self._gram_table.take((coord + self._gram_offset) - coord[:, None])
 
     def gram_column(self, p: int) -> np.ndarray:
-        """gram(all)[:, p]: one reversed 2-D slice of the tiled table, no FFT."""
+        """gram(range(N))[:, p], read as one reversed 2-D slice of the tiled table."""
         (n_dft, n_s), (n_p, v_p) = self.dims, divmod(int(p), self.dims[1])
         return self._gram_grid[n_p + n_dft:n_p:-1, v_p + n_s:v_p:-1].ravel()
 

@@ -11,15 +11,14 @@ production run, the repeat stop and its period arithmetic included.
 The comparison of a draw ends at the first iteration the oracle cannot
 vouch for: a selection cut with a near tie (a gap within 1e-9 of the
 largest magnitude; rounding may order such entries either way), a
-least-squares
-block whose columns have a condition number above MAX_COND (where the
-production rank test could take its retry, or its normal equations
-could lose the 1e-9 accuracy), a CoSaMP merged set with more columns
-than rows (the production halved-candidate retry), or an OMP proxy with
-no correlating atom left. Exact ties are compared where every proxy
-magnitude is equal: the proxy of a unit measurement on row 0, whose row
-is constant, is constant in any implementation, so the first selection
-of such a draw takes the lowest indices.
+least-squares block whose columns have a condition number above MAX_COND
+(where the production rank test could take its retry, or its normal
+equations could lose the 1e-9 accuracy), a CoSaMP merged set with more
+columns than rows (the production halved-candidate retry), or an OMP
+proxy with no correlating atom left. Exact ties are compared where every
+proxy magnitude is equal: the proxy of a unit measurement on row 0, whose
+row is constant, is constant in any implementation, so the first
+selection of such a draw takes the lowest indices.
 """
 
 import dataclasses
