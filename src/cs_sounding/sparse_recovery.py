@@ -8,8 +8,9 @@ delay and space differences, so the operator keeps one Gram table (the
 2-D DFT of the mask): the solvers never form a column block. CoSaMP hands
 numerics.solve_normal_equations each merged support's Gram matrix and the
 precomputed Phi^H y; OMP (Batch-OMP) grows an inverse Cholesky factor one
-atom at a time from Gram columns. Every solver run carries a complex
-multiply-accumulate tally of the textbook dense-Gram cost.
+atom at a time from Gram columns. Each solver's state class (_Cosamp,
+_Omp) owns its step, its least squares and its MAC tally; _pursuit runs
+the iteration loop they share.
 """
 
 from __future__ import annotations
@@ -56,23 +57,11 @@ class SparseRecoveryResult:
     support: np.ndarray
     residual_history: list[float]
     iterations: int
+    # Complex MACs in mac_model's textbook dense-Gram cost, not the FFT and
+    # Gram-table work done here; a solve the rank test rejects is counted.
     mac_count: int
     converged: bool
     stop_reason: str  # one of STOP_REASONS
-
-
-class _MacTally:
-    """Complex MACs of the textbook CoSaMP/OMP iteration (the cost model of
-    mac_model: dense proxy, explicit Gram matrix, Cholesky, residual), not
-    the work this implementation does through FFTs and the Gram table."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
 
 
 class MeasurementOperator:
@@ -207,52 +196,43 @@ def _lstsq_macs(n_kappa: int, m: int) -> int:
     return n_kappa * m * m + n_kappa * m + math.ceil(m**3 / 3) + m * m
 
 
-def _restricted_lstsq(phi: MeasurementOperator, t_set: np.ndarray, y: np.ndarray,
-                      phi_h_y: np.ndarray, macs: _MacTally) -> np.ndarray:
-    """Least squares of y on the columns in t_set, from the operator's Gram
-    table and phi_h_y = Phi^H y; books the dense-Gram cost of the step."""
-    macs.add(_lstsq_macs(phi.shape[0], t_set.size))
-    return numerics.solve_normal_equations(_ColumnSubset(phi, t_set, y, phi_h_y), y)
-
-
-def _cosamp_step(phi, y, phi_h_y, proxy, support, kappa, macs):
-    """Merged-support least squares with the halved-candidate retry, then
-    prune back to the kappa largest coefficients.
-
-    A merged set with more columns than measurement rows is rank deficient
-    by construction and goes straight to the retry; after it the set holds
-    at most 2*kappa <= n_kappa columns.
-    """
-    last = None
-    for n_cand in (2 * kappa, kappa):
-        omega = support_select(proxy, min(n_cand, proxy.shape[0]))
-        t_set = np.union1d(support, omega).astype(np.intp)
-        if t_set.size <= phi.shape[0]:
-            try:
-                b = _restricted_lstsq(phi, t_set, y, phi_h_y, macs)
-                break
-            except NotPositiveDefinite as exc:
-                last = exc
-    else:
-        raise DegenerateSupport(
-            f"rank-deficient support of size {t_set.size} after retry") from last
-    keep = support_select(b, min(kappa, t_set.size))
-    return t_set[keep], b[keep]
-
-
 class _Cosamp:
     """CoSaMP's run state: Phi^H y, the last residual and the proxy, its FFT correlation."""
 
-    def __init__(self, phi, y, y_norm, cfg, macs):
-        self.phi, self.y, self.y_norm, self.kappa, self.macs = phi, y, y_norm, cfg.kappa, macs
+    stops_at_kappa = False
+
+    def __init__(self, phi, y, y_norm, cfg):
+        self.phi, self.y, self.y_norm, self.kappa = phi, y, y_norm, cfg.kappa
         self.phi_h_y = self.proxy = phi.rmatvec(y)  # the first residual is y itself
-        self.r = None
+        self.r, self.macs = None, 0
 
     def step(self, support):
+        """Merged-support least squares with the halved-candidate retry, then
+        prune back to the kappa largest coefficients.
+
+        A merged set with more columns than measurement rows is rank deficient
+        by construction and goes straight to the retry; after it the set holds
+        at most 2*kappa <= n_kappa columns.
+        """
         if self.r is not None:
             self.proxy = self.phi.rmatvec(self.r)
-        return _cosamp_step(self.phi, self.y, self.phi_h_y, self.proxy, support,
-                            self.kappa, self.macs)
+        n_kappa, last = self.phi.shape[0], None
+        for n_cand in (2 * self.kappa, self.kappa):
+            omega = support_select(self.proxy, min(n_cand, self.proxy.shape[0]))
+            t_set = np.union1d(support, omega).astype(np.intp)
+            if t_set.size <= n_kappa:
+                self.macs += _lstsq_macs(n_kappa, t_set.size)
+                try:
+                    b = numerics.solve_normal_equations(
+                        _ColumnSubset(self.phi, t_set, self.y, self.phi_h_y), self.y)
+                    break
+                except NotPositiveDefinite as exc:
+                    last = exc
+        else:
+            raise DegenerateSupport(
+                f"rank-deficient support of size {t_set.size} after retry") from last
+        keep = support_select(b, min(self.kappa, t_set.size))
+        return t_set[keep], b[keep]
 
     def residual(self, x_hat, final=False) -> tuple[float, bool]:
         self.r = self.y - self.phi.matvec(x_hat)
@@ -264,13 +244,16 @@ class _Omp:
     insertion order: L^-1, the inverse Cholesky factor of the support's Gram
     matrix; Gram columns G[:, t]; alpha0 = Phi^H y; z = L^-1 alpha0[T]."""
 
-    def __init__(self, phi, y, y_norm, cfg, macs):
-        self.phi, self.y, self.y_norm, self.tau, self.macs = phi, y, y_norm, cfg.tau, macs
+    stops_at_kappa = True
+
+    def __init__(self, phi, y, y_norm, cfg):
+        self.phi, self.y, self.y_norm, self.tau = phi, y, y_norm, cfg.tau
         self.alpha0 = self.proxy = phi.rmatvec(y)
-        self.atoms, self.z = np.empty(cfg.kappa, np.intp), np.empty(cfg.kappa, np.complex128)
-        self.cols = np.empty((cfg.kappa, phi.shape[1]), dtype=np.complex128)
-        self.inv = np.zeros((cfg.kappa, cfg.kappa), dtype=np.complex128)
-        self.m, self.trace = 0, 0.0
+        k = min(cfg.kappa, cfg.i_max)  # one atom per iteration at most
+        self.atoms, self.z = np.empty(k, np.intp), np.empty(k, np.complex128)
+        self.cols = np.empty((k, phi.shape[1]), dtype=np.complex128)
+        self.inv = np.zeros((k, k), dtype=np.complex128)
+        self.m, self.trace, self.macs = 0, 0.0, 0
 
     def step(self, support):
         """Add the strongest unused atom (the next one if the rank test fails); None if none."""
@@ -283,7 +266,7 @@ class _Omp:
                 if attempt:
                     raise DegenerateSupport("no usable atom left after retry")
                 return None
-            self.macs.add(_lstsq_macs(self.phi.shape[0], m + 1))
+            self.macs += _lstsq_macs(self.phi.shape[0], m + 1)
             col = self.phi.gram_column(p)
             l = self.inv[:m, :m] @ col[self.atoms[:m]]
             d2 = col[p].real - np.vdot(l, l).real  # the squared Cholesky pivot of p
@@ -313,17 +296,19 @@ class _Omp:
 
 
 def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
-             solver, stop_at_kappa: bool) -> SparseRecoveryResult:
+             solver) -> SparseRecoveryResult:
     """Input checks, residual loop and result shared by cosamp and omp.
 
     Each iteration the `solver` state (_Cosamp or _Omp) correlates the
     residual against the operator and returns the new support and its
     least-squares coefficients (or None to keep the current estimate),
     then the relative residual of x_hat: exact, or an estimate from OMP's
-    factor away from cfg.tau (the last entry is exact). Stops when it
-    drops to cfg.tau ("converged"), (stop_at_kappa) once the support holds
-    cfg.kappa atoms ("kappa_reached"), when an iterate repeats ("cycled"),
-    or after cfg.i_max iterations ("i_max").
+    factor away from cfg.tau (the last entry is exact). The state books
+    its least squares in its MAC tally `macs`, and this loop adds the
+    proxy and residual. Stops when the residual drops to cfg.tau
+    ("converged"), once the support holds cfg.kappa atoms if the state
+    class sets stops_at_kappa ("kappa_reached"), when an iterate repeats
+    ("cycled"), or after cfg.i_max iterations ("i_max").
 
     The next iterate is a function of the current (support, coefficients)
     alone, so from a repeat on the run is periodic. A cycled run returns
@@ -349,25 +334,24 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
     if y_norm == 0.0:
         return SparseRecoveryResult(x_hat, support, [0.0], 0, 0, True, "converged")
 
-    macs = _MacTally()
-    state = solver(phi, y, y_norm, cfg, macs)
+    state = solver(phi, y, y_norm, cfg)
     rel, exact = 1.0, True
     history: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] = []  # (support, b) per iteration
     seen: dict[bytes, int] = {}  # iterate bytes -> its first iteration index
     stop_reason = None
     for it in range(cfg.i_max):
-        macs.add(n * n_kappa)
+        state.macs += n * n_kappa
         picked = state.step(support)
         if picked is not None:
             support, b = picked
             x_hat = np.zeros(n, dtype=np.complex128)
             x_hat[support] = b
-            macs.add(n_kappa * support.size)
+            state.macs += n_kappa * support.size
             rel, exact = state.residual(x_hat)
         if rel <= cfg.tau:
             stop_reason = "converged"
-        elif stop_at_kappa and support.size >= cfg.kappa:
+        elif solver.stops_at_kappa and support.size >= cfg.kappa:
             stop_reason = "kappa_reached"  # no further progress possible
         elif seen.setdefault(key := support.tobytes() + b.tobytes(), it) < it:
             stop_reason = "cycled"
@@ -387,7 +371,7 @@ def _pursuit(phi: MeasurementOperator, y: np.ndarray, cfg: RecoveryConfig,
         support=support,
         residual_history=history,
         iterations=len(history),
-        mac_count=macs.count,
+        mac_count=state.macs,
         converged=stop_reason == "converged",
         stop_reason=stop_reason or "i_max",
     )
@@ -406,7 +390,7 @@ def cosamp(phi: MeasurementOperator, y: np.ndarray,
     _pursuit). On noisy, quantized or thresholded data it seldom
     converges but cycles within a few iterations.
     """
-    return _pursuit(phi, y, cfg, _Cosamp, stop_at_kappa=False)
+    return _pursuit(phi, y, cfg, _Cosamp)
 
 
 def omp(phi: MeasurementOperator, y: np.ndarray,
@@ -424,4 +408,4 @@ def omp(phi: MeasurementOperator, y: np.ndarray,
     (see _Omp); residual history entries above max(10 * cfg.tau, 1e-6) come
     from it, accurate to about 1e-8, and the others and the last are exact.
     """
-    return _pursuit(phi, y, cfg, _Omp, stop_at_kappa=True)
+    return _pursuit(phi, y, cfg, _Omp)

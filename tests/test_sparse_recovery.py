@@ -23,7 +23,7 @@ from cs_sounding.sparse_recovery import (
     omp,
     support_select,
 )
-from cs_sounding.sparse_recovery import _ColumnSubset, _cosamp_step, _MacTally
+from cs_sounding.sparse_recovery import _ColumnSubset, _Cosamp, _Omp
 from cs_sounding.numerics import NotPositiveDefinite
 
 
@@ -85,21 +85,28 @@ def first_dft_rows(n, n_rows):
 
 
 def reference_cosamp(phi, y, cfg):
-    """CoSaMP without the repeat stop: _cosamp_step for exactly cfg.i_max
+    """CoSaMP without the repeat stop: _Cosamp's step for exactly cfg.i_max
     iterations unless the residual reaches cfg.tau first."""
     y = np.asarray(y, dtype=complex)
-    phi_h_y, r = phi.rmatvec(y), y
+    state = _Cosamp(phi, y, float(np.linalg.norm(y)), cfg)
     support = np.array([], dtype=np.intp)
     for _ in range(cfg.i_max):
-        support, b = _cosamp_step(phi, y, phi_h_y, phi.rmatvec(r), support,
-                                  cfg.kappa, _MacTally())
+        support, b = state.step(support)
         x_hat = np.zeros(phi.shape[1], dtype=complex)
         x_hat[support] = b
-        r = y - phi.matvec(x_hat)
-        rel = float(np.linalg.norm(r)) / float(np.linalg.norm(y))
+        rel = state.residual(x_hat)[0]
         if rel <= cfg.tau:
             break
     return x_hat, support, rel <= cfg.tau
+
+
+def duplicate_column_operator():
+    """Columns (c, c, d, e) on 4 rows: any support holding both copies of c
+    fails the rank test."""
+    c = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
+    d = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
+    e = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    return DenseOperator(np.stack([c, c, d, e], axis=1)), c, d
 
 
 @pytest.fixture(scope="module")
@@ -323,22 +330,25 @@ class TestCosamp:
 
     def test_degenerate_support_after_retry(self):
         # two identical columns always enter the merged support together
-        c = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
-        d = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-        e = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-        phi = DenseOperator(np.stack([c, c, d, e], axis=1))
+        phi, c, d = duplicate_column_operator()
         y = c + 0.1 * d
         with pytest.raises(DegenerateSupport):
             cosamp(phi, y, RecoveryConfig(kappa=2))
 
     def test_degenerate_support_keeps_the_rank_error(self):
-        c = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
-        d = np.array([0.0, 0.0, 1.0, 0.0], dtype=complex)
-        e = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-        phi = DenseOperator(np.stack([c, c, d, e], axis=1))
+        phi, c, d = duplicate_column_operator()
         with pytest.raises(DegenerateSupport) as info:
             cosamp(phi, c + 0.1 * d, RecoveryConfig(kappa=2))
         assert isinstance(info.value.__cause__, NotPositiveDefinite)
+
+    def test_rejected_solve_is_still_counted(self):
+        # both copies of c lead the proxy, so the 2-column solve fails and
+        # the 1-column retry succeeds: proxy 16 + rejected solve 31 +
+        # retried solve 10 + residual 4
+        phi, c, _ = duplicate_column_operator()
+        res = cosamp(phi, c, RecoveryConfig(kappa=1, i_max=1))
+        assert res.support.tolist() == [0]
+        assert res.mac_count == 61
 
     def test_oracle_equivalence_on_true_support(self):
         rng = np.random.default_rng(5)
@@ -506,6 +516,9 @@ class TestOmp:
         assert res.stop_reason == "kappa_reached" and res.iterations == 2
         assert res.support.tolist() == [0, 2]
         np.testing.assert_allclose(res.x_hat, [1000.0, 0.0, 1.0], rtol=1e-15, atol=0)
+        # proxies 2 x 12, solves of 1 column (10) and of 2 columns twice
+        # (31 each, the rejected one included), residuals 4 + 8
+        assert res.mac_count == 108
 
     def test_rank_test_failing_twice_raises(self):
         mat = np.zeros((4, 3), dtype=complex)
@@ -566,6 +579,17 @@ class TestOmp:
         phi, y = measurement_with(value)
         with pytest.raises(ValueError, match="finite"):
             omp(phi, y, RecoveryConfig(kappa=5))
+
+    def test_factor_is_sized_by_the_iteration_cap(self):
+        # kappa above i_max: the run adds at most i_max atoms
+        phi = first_dft_rows(64, 40)
+        y = random_complex(np.random.default_rng(13), 40)
+        cfg = RecoveryConfig(kappa=20, i_max=3)
+        state = _Omp(phi, y, float(np.linalg.norm(y)), cfg)
+        assert state.cols.shape == (3, 64) and state.inv.shape == (3, 3)
+        assert state.atoms.shape == state.z.shape == (3,)
+        res = omp(phi, y, cfg)
+        assert res.stop_reason == "i_max" and res.support.size == 3
 
     def test_support_never_exceeds_kappa(self):
         rng = np.random.default_rng(9)
