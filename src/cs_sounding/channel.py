@@ -10,6 +10,7 @@ recovery pipeline treats as the sparse vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,9 +92,13 @@ class SpatialCorrelation:
                 raise ValueError(f"{name} must be in [0, 1), got {rho}")
 
     @staticmethod
+    @functools.cache
     def _root(rho: float, n: int) -> np.ndarray:
+        """Cholesky root of the n x n correlation, computed once per (rho, n); read-only."""
         corr = rho ** np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        return np.real(numerics.cholesky(corr.astype(np.complex128)))
+        root = np.real(numerics.cholesky(corr.astype(np.complex128)))
+        root.flags.writeable = False
+        return root
 
     def tx_root(self, n_t: int) -> np.ndarray:
         return self._root(self.rho_tx, n_t)

@@ -29,6 +29,7 @@ from . import sounding as snd
 from .config import ConfigError, read_config, validate_config
 from .sparse_recovery import (
     ALGORITHMS, DegenerateSupport, InsufficientMeasurements, MeasurementOperator,
+    RecoveryConfig, omp,
 )
 
 EXIT_OK = 0
@@ -253,6 +254,17 @@ def _selfcheck_checks():
         ref = np.linalg.lstsq(op.columns(idx), y, rcond=None)[0]
         return np.linalg.norm(b - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def check_omp_recovery():
+        # Batch-OMP's factor update and in-place proxy, end to end
+        rng = np.random.default_rng(14)
+        op = MeasurementOperator(32, 4, rng.choice(32 * 4, 40, replace=False))
+        x = np.zeros(32 * 4, dtype=np.complex128)
+        planted = np.sort(rng.choice(32 * 4, 5, replace=False))
+        x[planted] = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        res = omp(op, op.matvec(x), RecoveryConfig(kappa=5))
+        return (np.array_equal(res.support, planted)
+                and float(np.max(np.abs(res.x_hat - x))) < 1e-10)
+
     def check_unitary_transform():
         f = numerics.dft_matrix(16)
         return float(np.max(np.abs(f.conj().T @ f - np.eye(16)))) < 1e-12
@@ -267,6 +279,7 @@ def _selfcheck_checks():
         ("operator_columns", check_operator_columns),
         ("operator_gram", check_operator_gram),
         ("gram_solve", check_gram_solve),
+        ("omp_recovery", check_omp_recovery),
     ]
 
 

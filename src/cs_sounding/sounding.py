@@ -209,9 +209,10 @@ def knuth_shuffle(n: int, seed: int) -> np.ndarray:
     table = _lfsr_word_table()
     state = int(seed)
     perm = list(range(n))
+    span = 2**LFSR_STATE_BITS
     for i in range(n - 1, 0, -1):
         k = i + 1
-        limit = (2**LFSR_STATE_BITS // k) * k
+        limit = span - span % k  # == (span // k) * k
         state = table[state]
         while state >= limit:
             state = table[state]

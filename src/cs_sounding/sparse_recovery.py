@@ -240,28 +240,36 @@ class _Cosamp:
 
 
 class _Omp:
-    """Batch-OMP's run state (Rubinstein, Zibulevsky & Elad, 2008), in atom
-    insertion order: L^-1, the inverse Cholesky factor of the support's Gram
-    matrix; Gram columns G[:, t]; alpha0 = Phi^H y; z = L^-1 alpha0[T]."""
+    """Batch-OMP's run state (Rubinstein, Zibulevsky & Elad, 2008).
+
+    The run allocates its arrays once and updates them in place. In atom
+    insertion order: the atoms T, L^-1 (the inverse Cholesky factor of the
+    support's Gram matrix), the Gram columns G[:, t] and z = L^-1 alpha0[T].
+    Over all N columns: alpha0 = Phi^H y, the proxy alpha0 - G[:, T] b and
+    its magnitudes. Beside them, the running ||z||^2 and the Gram trace.
+    Each iteration allocates only the Gram column and vectors of length m,
+    the support size.
+    """
 
     stops_at_kappa = True
 
     def __init__(self, phi, y, y_norm, cfg):
         self.phi, self.y, self.y_norm, self.tau = phi, y, y_norm, cfg.tau
-        self.alpha0 = self.proxy = phi.rmatvec(y)
+        self.alpha0 = phi.rmatvec(y)
+        self.proxy, self.mags = self.alpha0.copy(), np.empty(self.alpha0.shape)
         k = min(cfg.kappa, cfg.i_max)  # one atom per iteration at most
         self.atoms, self.z = np.empty(k, np.intp), np.empty(k, np.complex128)
         self.cols = np.empty((k, phi.shape[1]), dtype=np.complex128)
-        self.inv = np.zeros((k, k), dtype=np.complex128)
-        self.m, self.trace, self.macs = 0, 0.0, 0
+        self.inv = np.zeros((k, k), dtype=np.complex128)  # zero above the diagonal
+        self.m, self.trace, self.z_sq, self.macs = 0, 0.0, 0.0, 0
 
     def step(self, support):
         """Add the strongest unused atom (the next one if the rank test fails); None if none."""
-        mags = np.abs(self.proxy)
+        mags = np.abs(self.proxy, out=self.mags)
         mags[support] = -1.0
         m = self.m
         for attempt in range(2):
-            p = int(np.argmax(mags))
+            p = int(mags.argmax())
             if mags[p] <= 0.0:
                 if attempt:
                     raise DegenerateSupport("no usable atom left after retry")
@@ -280,16 +288,20 @@ class _Omp:
                     f"rank-deficient support of size {m + 1} after retry") from cause
             mags[p] = -1.0
         d = math.sqrt(d2)
-        self.inv[m, :m + 1] = np.append(-(l.conj() @ self.inv[:m, :m]), 1.0) / d
-        self.z[m] = (self.alpha0[p] - np.vdot(l, self.z[:m])) / d
+        inv = self.inv[:m + 1, :m + 1]
+        np.matmul(l.conj(), inv[:m, :m], out=inv[m, :m])
+        inv[m, :m] /= -d  # the new row of L^-1: [-l^H L^-1, 1] / d
+        inv[m, m] = 1.0 / d
+        z_m = self.z[m] = (self.alpha0[p] - np.vdot(l, self.z[:m])) / d
+        self.z_sq += z_m.real**2 + z_m.imag**2
         self.atoms[m], self.cols[m], self.m, self.trace = p, col, m + 1, trace
-        b = self.inv[:m + 1, :m + 1].conj().T @ self.z[:m + 1]
-        self.proxy = self.alpha0 - b @ self.cols[:m + 1]
-        order = np.argsort(self.atoms[:m + 1])
+        b = (self.z[:m + 1].conj() @ inv).conj()  # (L^-1)^H z
+        np.subtract(self.alpha0, b @ self.cols[:m + 1], out=self.proxy)
+        order = self.atoms[:m + 1].argsort()
         return self.atoms[order], b[order]
 
     def residual(self, x_hat, final=False) -> tuple[float, bool]:
-        rel = math.sqrt(max(1.0 - (np.linalg.norm(self.z[:self.m]) / self.y_norm)**2, 0.0))
+        rel = math.sqrt(max(1.0 - self.z_sq / self.y_norm**2, 0.0))
         if final or rel <= max(10 * self.tau, 1e-6):  # the estimate is about 1e-8 off
             return float(np.linalg.norm(self.y - self.phi.matvec(x_hat))) / self.y_norm, True
         return rel, False

@@ -269,3 +269,12 @@ class TestSpatialCorrelation:
         root = corr.tx_root(4)
         target = 0.8 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
         np.testing.assert_allclose(root @ root.T, target, atol=1e-12)
+
+    def test_root_is_computed_once_and_read_only(self):
+        # generate_channel reads the same roots every trial; a caller that
+        # wrote into one would corrupt every later draw
+        root = SpatialCorrelation(rho_rx=0.6).rx_root(3)
+        assert SpatialCorrelation(rho_tx=0.6).tx_root(3) is root
+        assert not root.flags.writeable
+        with pytest.raises(ValueError):
+            root[0, 0] = 2.0

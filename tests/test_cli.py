@@ -559,7 +559,8 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         for name in ("p_matrix_orthogonality", "kron_path_consistency",
                      "givens_roundtrip", "angle_bits_table",
-                     "allocation_partition", "operator_columns", "operator_gram", "gram_solve"):
+                     "allocation_partition", "operator_columns", "operator_gram", "gram_solve",
+                     "omp_recovery"):
             assert f"{name}: ok" in out
 
     def test_corrupted_p_matrix_fails(self, capsys, monkeypatch):

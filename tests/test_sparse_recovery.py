@@ -598,6 +598,26 @@ class TestOmp:
         res = omp(phi, y, RecoveryConfig(kappa=5, tau=1e-9, i_max=50))
         assert res.support.size <= 5
 
+    def test_in_place_state_keeps_its_invariants(self):
+        # the proxy, its magnitudes, L^-1 and z are run buffers updated in
+        # place; alpha0 must survive every update bit for bit
+        rng = np.random.default_rng(14)
+        phi = MeasurementOperator(64, 4, rng.choice(256, 64, replace=False))
+        y = random_complex(rng, 64)
+        state = _Omp(phi, y, float(np.linalg.norm(y)), RecoveryConfig(kappa=12, i_max=12))
+        alpha0 = phi.rmatvec(y)
+        assert not np.shares_memory(state.proxy, state.alpha0)
+        support = np.array([], dtype=np.intp)
+        for m in range(1, 13):
+            support, b = state.step(support)
+            assert support.size == state.m == m
+            np.testing.assert_array_equal(state.alpha0, alpha0)
+            fit = sum(b_j * phi.gram_column(t) for t, b_j in zip(support, b))
+            np.testing.assert_allclose(state.proxy, alpha0 - fit, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(alpha0)))
+            z = state.z[:m]
+            assert state.z_sq == pytest.approx(np.vdot(z, z).real, rel=1e-12)
+
 
 class TestMacInstrumentation:
     def test_within_factor_two_of_model(self):
